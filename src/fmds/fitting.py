@@ -32,8 +32,9 @@ from .errors import (
     Underdetermined,
 )
 
-# Stress beyond this aborts the fit as diverged; the quartic objective can
-# explode quickly under a bad step size.
+# Stress beyond this multiple of the data's quartic scale (sum of d**4 over
+# pairs and times, floored at 1) aborts the fit as diverged; the quartic
+# objective can explode quickly under a bad step size.
 STRESS_OVERFLOW = 1e30
 
 CUBIC_ORDER = 4
@@ -110,15 +111,46 @@ class AdamState:
         -alpha * g / (|g| + shift) elementwise.
         """
         g = np.asarray(gradient, dtype=float)
-        self.first_moment[index] = self.gamma1 * self.first_moment[index] + (1.0 - self.gamma1) * g
-        self.second_moment[index] = (
-            self.gamma2 * self.second_moment[index] + (1.0 - self.gamma2) * (g * g)
-        )
+        moments = np.stack((self.first_moment[index], self.second_moment[index]))
         self.step_counts[index] += 1
-        t = int(self.step_counts[index])
-        m_hat = self.first_moment[index] / (1.0 - self.gamma1 ** t)
-        v_hat = self.second_moment[index] / (1.0 - self.gamma2 ** t)
-        return -self.alpha * m_hat / (np.sqrt(v_hat) + self.denom_shift)
+        correction = _bias_corrections(self.gamma1, self.gamma2, [int(self.step_counts[index])])
+        rates = np.array((self.gamma1, self.gamma2)).reshape(2, 1, 1)
+        increment = np.empty_like(moments[0])
+        _adam_update(moments, np.stack((g, g * g)), rates, 1.0 - rates, correction[0],
+                     np.array(-self.alpha), np.array(self.denom_shift),
+                     np.empty_like(moments), increment)
+        self.first_moment[index], self.second_moment[index] = moments
+        return increment
+
+
+def _bias_corrections(gamma1: float, gamma2: float, counts) -> np.ndarray:
+    """Adam's bias-correction divisors (1 - gamma1**t, 1 - gamma2**t) per step count t.
+
+    Shape (len(counts), 2, 1, 1). The powers are Python's ``**`` on floats,
+    so a table built for many counts matches a single step bit for bit.
+    """
+    return np.array([(1.0 - gamma1 ** t, 1.0 - gamma2 ** t) for t in counts]).reshape(-1, 2, 1, 1)
+
+
+def _adam_update(moments, grads, decay, gain, correction, neg_alpha, shift, scratch, out) -> None:
+    """One Adam step on stacked moments, in place; the increment goes to ``out``.
+
+    ``moments`` is (..., 2, p, q), the first and second moments of one or
+    more objects; ``grads`` matches it and holds (g, g*g) for each. The
+    moments become decay * moments + gain * grads and ``out`` (..., p, q)
+    receives -alpha * m_hat / (sqrt(v_hat) + shift), where the hats are the
+    moments divided by ``correction``. ``scratch`` is overwritten. Negating
+    the first row of ``gain`` applies the step for the gradient -g.
+    """
+    np.multiply(grads, gain, scratch)
+    np.multiply(moments, decay, moments)
+    np.add(moments, scratch, moments)
+    np.divide(moments, correction, scratch)
+    m_hat, v_hat = scratch[..., 0, :, :], scratch[..., 1, :, :]
+    np.sqrt(v_hat, v_hat)
+    np.add(v_hat, shift, v_hat)
+    np.multiply(m_hat, neg_alpha, out)
+    np.divide(out, v_hat, out)
 
 
 @dataclass(frozen=True)
@@ -202,14 +234,20 @@ def _fit_knots(grid: np.ndarray, interior_count: int) -> KnotVector:
 
 
 def _stress_value(coeffs: np.ndarray, dsq: np.ndarray, basis: np.ndarray) -> float:
-    """Squared stress of raw coefficient arrays against squared dissimilarities."""
+    """Squared stress of raw coefficient arrays against squared dissimilarities.
+
+    Only the pairs h < j are formed, as one row-major (pairs, times) residual
+    array, so the final sum runs in the same order as a sum over the upper
+    triangle of the full pairwise residual tensor.
+    """
+    h, j = np.triu_indices(coeffs.shape[0], 1)
     pos = np.einsum("ipq,kq->ikp", coeffs, basis)
-    diff = pos[:, None] - pos[None, :]
-    embedded_sq = (diff * diff).sum(axis=-1)
-    resid = np.moveaxis(dsq, 0, 2) - embedded_sq
-    iu = np.triu_indices(coeffs.shape[0], 1)
-    r = resid[iu]
-    return float((r * r).sum())
+    diff = pos[h]
+    np.subtract(diff, pos[j], out=diff)
+    np.multiply(diff, diff, out=diff)
+    resid = diff.sum(axis=-1)
+    np.subtract(dsq[:, h, j].T, resid, out=resid)
+    return float((resid * resid).sum())
 
 
 def _pair_value(c_h: np.ndarray, c_j: np.ndarray, dsq_pair: np.ndarray,
@@ -364,6 +402,93 @@ def init_random(tensor: DissimilarityTensor, config: FitConfig) -> CoefficientSe
 # optimization
 
 
+class _PairwiseAdam:
+    """Moments, counters and scratch buffers of the pairwise Adam epoch.
+
+    ``epoch`` gives bit for bit the results of calling ``_pair_grad`` and
+    then ``AdamState.step`` for h and for j at every pair, in order. The
+    j-side steps (gradient -g) of a row are kept and applied as one batch
+    at the end of the row, as ``fit`` explains; each element still goes
+    through the same arithmetic as in the reference, in fewer numpy calls.
+    """
+
+    def __init__(self, n: int, p: int, q: int, basis: np.ndarray, alpha: float,
+                 gamma1: float, gamma2: float):
+        self.gammas = (gamma1, gamma2)
+        self.basis = basis
+        self.moments = np.zeros((n, 2, p, q))
+        self.step_counts = np.zeros(n, dtype=np.int64)
+        rates = np.array((gamma1, gamma2)).reshape(2, 1, 1)
+        # full-shape constants: broadcasting costs more than the arithmetic at this size
+        self.decay = np.broadcast_to(rates, (2, p, q)).copy()
+        self.gain = 1.0 - self.decay
+        self.gain_j = self.gain * np.array((-1.0, 1.0)).reshape(2, 1, 1)
+        self.neg_alpha = np.array(-alpha)
+        self.shift = np.array(AdamState.denom_shift)
+        self.grads = np.empty((n - 1, 2, p, q))
+        self.scratch = np.empty((n - 1, 2, p, q))
+        self.increments = np.empty((n - 1, p, q))
+
+    def epoch(self, coeffs: np.ndarray, dsq: np.ndarray, rows) -> None:
+        """Run one epoch over the rows h in the given order, updating ``coeffs`` in place."""
+        n, _, p, q = self.moments.shape
+        m = self.basis.shape[0]
+        basis = self.basis
+        # the transposed view, as in _pair_grad: a contiguous copy takes another
+        # BLAS path and changes the bits at p = 1
+        basis_t = basis.T
+        decay, gain, neg_alpha, shift = self.decay, self.gain, self.neg_alpha, self.shift
+        minus4 = np.array(-4.0)
+        # at (p, q) sizes numpy's per-call overhead is the cost: ufuncs are
+        # bound to locals and given their outputs positionally
+        add, subtract, multiply, matmul = np.add, np.subtract, np.multiply, np.matmul
+        diff, scratch, increment = np.empty((p, q)), np.empty((2, p, q)), np.empty((p, q))
+        u, squares, sq_sum = np.empty((p, m)), np.empty((p, m)), np.empty(m)
+        resid, weighted = np.empty(m), np.empty((p, m))
+        first_square, *other_squares = squares
+        coeff_rows = list(coeffs)
+        grad_pairs = list(self.grads)
+        grad_rows = [tuple(pair) for pair in grad_pairs]
+        # every object gets n - 1 steps per epoch, so all counts are equal at
+        # its start and run from base + 1 to base + n - 1 within it
+        base = int(self.step_counts[0])
+        table = _bias_corrections(*self.gammas, range(base + 1, base + n))
+        table = np.ascontiguousarray(np.broadcast_to(table, (n - 1, 2, p, q)))
+        corrections = list(table)
+
+        for h in rows:
+            h = int(h)
+            width = n - 1 - h
+            c_h, moments_h = coeff_rows[h], self.moments[h]
+            targets = np.ascontiguousarray(dsq[:, h, h + 1:].T)
+            t = int(self.step_counts[h]) - base
+            for c_j, target, (g, g_sq), grads, correction in zip(
+                    coeff_rows[h + 1:], targets, grad_rows, grad_pairs, corrections[t:]):
+                subtract(c_h, c_j, diff)
+                matmul(diff, basis_t, u)
+                multiply(u, u, squares)
+                total = first_square
+                for row in other_squares:
+                    total = add(total, row, sq_sum)
+                subtract(target, total, resid)
+                multiply(u, resid, weighted)
+                multiply(weighted, minus4, weighted)
+                matmul(weighted, basis, g)
+                multiply(g, g, g_sq)
+                _adam_update(moments_h, grads, decay, gain, correction, neg_alpha, shift,
+                             scratch, increment)
+                add(c_h, increment, c_h)
+            self.step_counts[h] += width
+
+            later = slice(h + 1, n)
+            self.step_counts[later] += 1
+            out = self.increments[:width]
+            _adam_update(self.moments[later], self.grads[:width], decay, self.gain_j,
+                         table[self.step_counts[later] - base - 1], neg_alpha, shift,
+                         self.scratch[:width], out)
+            coeffs[later] += out
+
+
 def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
     """Fit embedding trajectories to a dissimilarity tensor.
 
@@ -374,8 +499,16 @@ def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
     Convergence is declared when no coefficient matrix moved more than
     ``config.eps`` in Frobenius norm over a full epoch.
 
-    Raises DivergedError, reporting the epoch, if the stress overflows or
-    becomes non-finite.
+    Within the row of one h, the steps for the second objects j are applied
+    together at the end of the row. This is exact: each j is visited once
+    in the row and neither its coefficients nor its moments are read again
+    before the row ends, so only the steps for h depend on their order. The
+    result is bit for bit that of applying every pair's two steps in turn.
+
+    Raises DivergedError, reporting the epoch, if the stress becomes
+    non-finite or exceeds ``STRESS_OVERFLOW`` times the stress of the
+    collapsed embedding (the sum of d**4 over pairs and times, floored at
+    1), so that large units alone do not count as divergence.
     """
     if tensor.n < 2:
         raise InsufficientObjects(f"need at least 2 objects, got {tensor.n}")
@@ -391,10 +524,11 @@ def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
         coeffs = _random_coefficients(tensor, config, rng, q)
 
     initial_stress = _stress_value(coeffs, dsq, basis)
-    state = AdamState.zeros(
-        n, config.p, q,
-        alpha=config.alpha, gamma1=config.gamma1, gamma2=config.gamma2,
-    )
+    h, j = np.triu_indices(n, 1)
+    # the stress with every object at one point: the data's own scale of stress
+    collapsed = float((dsq[:, h, j] ** 2).sum())
+    overflow = STRESS_OVERFLOW * max(1.0, collapsed)
+    adam = _PairwiseAdam(n, config.p, q, basis, config.alpha, config.gamma1, config.gamma2)
 
     stress_log: list[float] = []
     disp_log: list[float] = []
@@ -403,19 +537,13 @@ def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
     for epoch in range(config.max_epochs):
         before = coeffs.copy()
         if config.baseline == "adam":
-            for h in rng.permutation(n - 1):
-                for j in range(h + 1, n):
-                    grad_h = _pair_grad(coeffs[h], coeffs[j], dsq[:, h, j], basis)
-                    delta_h = state.step(h, grad_h)
-                    delta_j = state.step(j, -grad_h)
-                    coeffs[h] += delta_h
-                    coeffs[j] += delta_j
+            adam.epoch(coeffs, dsq, rng.permutation(n - 1))
         else:
             coeffs -= config.alpha * _full_gradients(coeffs, dsq, basis)
 
         value = _stress_value(coeffs, dsq, basis)
         epochs = epoch + 1
-        if not np.isfinite(value) or value > STRESS_OVERFLOW:
+        if not np.isfinite(value) or value > overflow:
             raise DivergedError(f"stress {value} at epoch {epoch}", epoch=epoch)
         stress_log.append(value)
         displacement = float(np.sqrt(((coeffs - before) ** 2).sum(axis=(1, 2))).max())
@@ -440,5 +568,6 @@ def evaluate_trajectories(coeffs: CoefficientSet, grid) -> EmbeddingTrajectory:
     basis = basis_matrix(coeffs.knots, pts).values
     positions = np.einsum("ipq,kq->kip", coeffs.coefficients, basis)
     diff = positions[:, :, None, :] - positions[:, None, :, :]
-    fitted = np.sqrt((diff * diff).sum(axis=-1))
+    np.multiply(diff, diff, out=diff)
+    fitted = np.sqrt(diff.sum(axis=-1))
     return EmbeddingTrajectory(pts, positions, fitted)

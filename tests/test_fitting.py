@@ -18,6 +18,7 @@ from fmds import (
     ShapeError,
     SyntheticScenario,
     Underdetermined,
+    basis_matrix,
     euclidean_dissimilarity,
     evaluate_trajectories,
     fit,
@@ -29,6 +30,7 @@ from fmds import (
     pair_stress,
     stress,
 )
+from fmds.fitting import _PairwiseAdam, _pair_grad, _stress_value
 from fmds.reference import central_difference_gradient
 
 
@@ -92,6 +94,20 @@ class TestStress:
             np.array([0.5]), (DissimilarityMatrix(np.array([[0.0, 2.0], [2.0, 0.0]])),)
         )
         assert stress(coeffs, tensor) == 9.0
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 9])
+    def test_bitwise_equal_to_full_tensor_form(self, p):
+        # the full (n, n, m, p) difference tensor, then its upper triangle;
+        # p = 9 reaches numpy's unrolled summation over the last axis
+        rng = np.random.default_rng(20 + p)
+        tensor, coeffs, kv = _random_instance(rng, n=7, m=9, p=p)
+        basis = basis_matrix(kv, tensor.time_grid).values
+        dsq = tensor.stacked() ** 2
+        pos = np.einsum("ipq,kq->ikp", coeffs, basis)
+        diff = pos[:, None] - pos[None, :]
+        resid = np.moveaxis(dsq, 0, 2) - (diff * diff).sum(axis=-1)
+        r = resid[np.triu_indices(tensor.n, 1)]
+        assert _stress_value(coeffs, dsq, basis) == float((r * r).sum())
 
     def test_object_count_mismatch(self):
         rng = np.random.default_rng(2)
@@ -238,6 +254,26 @@ class TestAdamState:
             corrected = state.second_moment[idx] / (1.0 - state.gamma2 ** t)
             assert np.all(corrected >= state.second_moment[idx])
 
+    def test_bitwise_equal_to_closed_form_updates(self):
+        # the update written out as the textbook formulas, one moment at a time
+        rng = np.random.default_rng(17)
+        state = AdamState.zeros(2, 2, 3, alpha=0.01, gamma1=0.8, gamma2=0.99)
+        m1, m2 = np.zeros((2, 2, 3)), np.zeros((2, 2, 3))
+        counts = [0, 0]
+        for k in range(30):
+            idx = k % 3 % 2
+            g = rng.normal(size=(2, 3)) * 10.0 ** rng.integers(-6, 3)
+            m1[idx] = 0.8 * m1[idx] + (1.0 - 0.8) * g
+            m2[idx] = 0.99 * m2[idx] + (1.0 - 0.99) * (g * g)
+            counts[idx] += 1
+            t = counts[idx]
+            expected = -0.01 * (m1[idx] / (1.0 - 0.8 ** t)) / (
+                np.sqrt(m2[idx] / (1.0 - 0.99 ** t)) + 1e-8)
+            assert np.array_equal(state.step(idx, g), expected)
+        assert np.array_equal(state.first_moment, m1)
+        assert np.array_equal(state.second_moment, m2)
+        npt.assert_array_equal(state.step_counts, counts)
+
     def test_counters_track_updates(self):
         state = AdamState.zeros(3, 1, 1)
         state.step(0, np.ones((1, 1)))
@@ -275,6 +311,18 @@ class TestFit:
         with pytest.raises(DivergedError) as exc_info:
             fit(tensor, cfg)
         assert exc_info.value.epoch >= 0
+
+    def test_large_units_do_not_diverge(self):
+        # stress far above 1e30 is still the warm start's when d is in large units
+        scen = SyntheticScenario("smooth_rotation", n=5, p_true=2, m=40, seed=42)
+        _, tensor, _ = generate(scen)
+        big = DissimilarityTensor(
+            tensor.time_grid,
+            tuple(DissimilarityMatrix(s.values * 1e10) for s in tensor.slices),
+        )
+        result = fit(big, FitConfig(p=2, interior_knots=4, max_epochs=2, rng_seed=42))
+        assert result.epochs_run == 2
+        assert result.initial_stress > 1e30
 
     def test_deterministic_bit_for_bit(self):
         scen = SyntheticScenario("smooth_rotation", n=4, m=20, seed=2)
@@ -325,6 +373,52 @@ class TestFit:
         assert abs(f_adam - f_gd) / max(f_adam, f_gd) <= 0.10
         assert f_adam == pytest.approx(8.1221898708942547e-09, rel=1e-6)
         assert f_gd == pytest.approx(8.5520069554111781e-09, rel=1e-6)
+
+
+class TestPairwiseAdamKernel:
+    @staticmethod
+    def _reference_epochs(coeffs, dsq, basis, orders, config):
+        n, p, q = coeffs.shape
+        state = AdamState.zeros(n, p, q, alpha=config.alpha, gamma1=config.gamma1,
+                                gamma2=config.gamma2)
+        for rows in orders:
+            for h in rows:
+                for j in range(h + 1, n):
+                    grad_h = _pair_grad(coeffs[h], coeffs[j], dsq[:, h, j], basis)
+                    delta_h = state.step(h, grad_h)
+                    delta_j = state.step(j, -grad_h)
+                    coeffs[h] += delta_h
+                    coeffs[j] += delta_j
+        return state
+
+    @pytest.mark.parametrize(
+        "n, p, init_mode",
+        [(2, 1, "cmds_warm"), (2, 1, "random"), (2, 2, "random"), (2, 3, "random"),
+         (11, 1, "cmds_warm"), (11, 2, "cmds_warm"), (11, 3, "cmds_warm"),
+         (11, 1, "random"), (11, 2, "random"), (11, 3, "random")],
+    )
+    def test_bitwise_equal_to_pair_by_pair_loop(self, n, p, init_mode):
+        scen = SyntheticScenario("random_walk_smoothed", n=n, p_true=3, m=12, seed=n + p)
+        _, tensor, _ = generate(scen)
+        config = FitConfig(p=p, interior_knots=2, alpha=0.01, rng_seed=p, init_mode=init_mode)
+        init = init_from_cmds if init_mode == "cmds_warm" else init_random
+        start = init(tensor, config)
+        basis = basis_matrix(start.knots, tensor.time_grid).values
+        dsq = tensor.stacked() ** 2
+        rng = np.random.default_rng(5)
+        orders = [rng.permutation(n - 1) for _ in range(3)]
+
+        expected = start.coefficients.copy()
+        state = self._reference_epochs(expected, dsq, basis, orders, config)
+        got = start.coefficients.copy()
+        kernel = _PairwiseAdam(n, p, start.q, basis, config.alpha, config.gamma1, config.gamma2)
+        for rows in orders:
+            kernel.epoch(got, dsq, rows)
+
+        assert np.array_equal(got, expected)
+        assert np.array_equal(kernel.moments[:, 0], state.first_moment)
+        assert np.array_equal(kernel.moments[:, 1], state.second_moment)
+        assert np.array_equal(kernel.step_counts, state.step_counts)
 
 
 class TestObjectiveInvariances:
