@@ -11,9 +11,7 @@ references. Exit codes: 0 success, 2 usage/config error, 3 ingest error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,7 +29,6 @@ from .dissimilarity import (
 from .errors import ConfigError, DivergedError, FmdsError, IngestError, WindowTooLong
 from .fitting import (
     CoefficientSet,
-    FitConfig,
     evaluate_trajectories,
     fit,
     pair_gradients,
@@ -46,98 +43,90 @@ DENSE_GRID_POINTS = 200
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser. Flags carry no defaults: an absent flag leaves its
+    ``RunManifest`` field, and so ``FitConfig``, to supply one."""
     parser = argparse.ArgumentParser(
         prog="fmds",
         description="Smooth low-dimensional embedding trajectories for "
         "time-varying dissimilarities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    no_defaults = {"argument_default": argparse.SUPPRESS}
 
-    ingest = argparse.ArgumentParser(add_help=False)
+    ingest = argparse.ArgumentParser(add_help=False, **no_defaults)
     ingest.add_argument("--input", required=True, help="input CSV file")
     ingest.add_argument(
-        "--format", choices=("tensor_csv", "wide_csv"), default="tensor_csv",
+        "--format", choices=("tensor_csv", "wide_csv"),
         help="input layout: long t,i,j,d rows or a wide observation panel",
     )
     ingest.add_argument(
-        "--metric", choices=("euclidean", "correlation"), default="euclidean",
+        "--metric", choices=("euclidean", "correlation"),
         help="dissimilarity metric for wide_csv inputs",
     )
-    ingest.add_argument("--window", type=int, default=None,
+    ingest.add_argument("--window", type=int,
                         help="rolling window length (default: full series)")
-    ingest.add_argument("--stride", type=int, default=1, help="window step")
+    ingest.add_argument("--stride", type=int, help="window step")
 
-    out = argparse.ArgumentParser(add_help=False)
+    out = argparse.ArgumentParser(add_help=False, **no_defaults)
     out.add_argument("--out", required=True, help="output directory")
     out.add_argument("--deterministic", action="store_true",
                      help="suppress timestamps so reruns are byte-identical")
 
-    p_cmds = sub.add_parser("cmds", parents=[ingest, out],
+    p_cmds = sub.add_parser("cmds", parents=[ingest, out], **no_defaults,
                             help="embed each tensor slice by classical MDS")
-    p_cmds.add_argument("--dim", type=int, default=2, help="embedding dimension")
+    p_cmds.add_argument("--dim", type=int, help="embedding dimension")
 
-    p_fmds = sub.add_parser("fmds", parents=[ingest, out],
+    p_fmds = sub.add_parser("fmds", parents=[ingest, out], **no_defaults,
                             help="fit smooth embedding trajectories")
-    p_fmds.add_argument("--dim", type=int, default=2, help="embedding dimension")
-    p_fmds.add_argument("--knots", type=int, default=None,
+    p_fmds.add_argument("--dim", type=int, help="embedding dimension")
+    p_fmds.add_argument("--knots", type=int,
                         help="interior knot count (default: max(1, m // 10))")
-    p_fmds.add_argument("--alpha", type=float, default=0.001, help="step size")
-    p_fmds.add_argument("--gamma1", type=float, default=0.9, help="first-moment decay")
-    p_fmds.add_argument("--gamma2", type=float, default=0.999, help="second-moment decay")
-    p_fmds.add_argument("--eps", type=float, default=1e-6, help="convergence tolerance")
-    p_fmds.add_argument("--max-epochs", type=int, default=1000, help="epoch budget")
-    p_fmds.add_argument("--seed", type=int, default=0, help="random seed")
-    p_fmds.add_argument("--init", choices=("cmds", "random"), default="cmds",
+    p_fmds.add_argument("--alpha", type=float, help="step size")
+    p_fmds.add_argument("--gamma1", type=float, help="first-moment decay")
+    p_fmds.add_argument("--gamma2", type=float, help="second-moment decay")
+    p_fmds.add_argument("--eps", type=float, help="convergence tolerance")
+    p_fmds.add_argument("--max-epochs", type=int, help="epoch budget")
+    p_fmds.add_argument("--seed", type=int, help="random seed")
+    p_fmds.add_argument("--init", choices=("cmds", "random"),
                         help="initialization mode")
-    p_fmds.add_argument("--baseline", choices=("adam", "gd"), default="adam",
+    p_fmds.add_argument("--baseline", choices=("adam", "gd"),
                         help="optimizer: pairwise adam or full-batch gradient descent")
 
-    sub.add_parser("dissim", parents=[ingest, out],
+    sub.add_parser("dissim", parents=[ingest, out], **no_defaults,
                    help="build a dissimilarity tensor from a panel")
 
     p_verify = sub.add_parser("verify", help="cross-check fast paths against references")
     p_verify.add_argument("--inject-fault", choices=("gradient_sign",), default=None,
                           help="testing aid: deliberately break a check")
 
-    p_synth = sub.add_parser("synth", parents=[out], help="write a synthetic data set")
+    p_synth = sub.add_parser("synth", parents=[out], **no_defaults,
+                             help="write a synthetic data set")
     p_synth.add_argument("--scenario",
-                         choices=("static_cloud", "smooth_rotation", "random_walk_smoothed"),
-                         default="smooth_rotation")
-    p_synth.add_argument("--n", type=int, default=5, help="object count")
-    p_synth.add_argument("--dim", type=int, default=2, help="trajectory dimension")
-    p_synth.add_argument("--m", type=int, default=40, help="time point count")
-    p_synth.add_argument("--noise", type=float, default=0.0, help="observation noise sd")
-    p_synth.add_argument("--seed", type=int, default=0, help="random seed")
+                         choices=("static_cloud", "smooth_rotation", "random_walk_smoothed"))
+    p_synth.add_argument("--n", type=int, help="object count")
+    p_synth.add_argument("--dim", type=int, help="trajectory dimension")
+    p_synth.add_argument("--m", type=int, help="time point count")
+    p_synth.add_argument("--noise", type=float, help="observation noise sd")
+    p_synth.add_argument("--seed", type=int, help="random seed")
     return parser
 
 
+# Flags whose RunManifest field has another name; every other flag's dest
+# is its field name.
+_FIELD_OF_FLAG = {
+    "input": "input_path", "format": "input_format", "window": "window_len",
+    "knots": "interior_knots", "n": "scenario_n", "m": "scenario_m",
+    "noise": "noise_sd", "out": "out_dir",
+}
+# Flag values spelled differently in the manifest.
+_VALUE_OF_FLAG = {"init": {"cmds": "cmds_warm"}, "baseline": {"gd": "full_batch_gd"}}
+
+
 def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
-    manifest = RunManifest(
-        command=args.command,
-        input_path=getattr(args, "input", ""),
-        input_format=getattr(args, "format", "tensor_csv"),
-        metric=getattr(args, "metric", "euclidean"),
-        window_len=getattr(args, "window", None),
-        stride=getattr(args, "stride", 1),
-        dim=getattr(args, "dim", 2),
-        interior_knots=getattr(args, "knots", None),
-        alpha=getattr(args, "alpha", 0.001),
-        gamma1=getattr(args, "gamma1", 0.9),
-        gamma2=getattr(args, "gamma2", 0.999),
-        eps=getattr(args, "eps", 1e-6),
-        max_epochs=getattr(args, "max_epochs", 1000),
-        seed=getattr(args, "seed", 0),
-        init={"cmds": "cmds_warm", "random": "random"}.get(
-            getattr(args, "init", "cmds"), "cmds_warm"),
-        baseline={"adam": "adam", "gd": "full_batch_gd"}.get(
-            getattr(args, "baseline", "adam"), "adam"),
-        scenario=getattr(args, "scenario", "smooth_rotation"),
-        scenario_n=getattr(args, "n", 5),
-        scenario_m=getattr(args, "m", 40),
-        noise_sd=getattr(args, "noise", 0.0),
-        out_dir=getattr(args, "out", "."),
-        deterministic=getattr(args, "deterministic", False),
-    )
+    manifest = RunManifest.from_dict({
+        _FIELD_OF_FLAG.get(flag, flag): _VALUE_OF_FLAG.get(flag, {}).get(value, value)
+        for flag, value in vars(args).items()
+    })
     manifest.validate()
     return manifest
 
@@ -181,7 +170,6 @@ def run_dissim_command(manifest: RunManifest) -> int:
         },
         out / "summary.json",
     )
-    io.write_json({"manifest_sha256": digest, **manifest.to_dict()}, out / "manifest.json")
     print(f"wrote {tensor.num_times} slices for {tensor.n} objects to {out}")
     return 0
 
@@ -193,15 +181,7 @@ def run_cmds_command(manifest: RunManifest) -> int:
     digest = manifest.sha256()
     comments = _svg_comments(manifest)
 
-    threads = int(os.environ.get("FMDS_THREADS", "1"))
-    indices = range(tensor.num_times)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solutions = list(pool.map(
-                lambda k: classical_mds(tensor.slices[k], manifest.dim), indices
-            ))
-    else:
-        solutions = [classical_mds(tensor.slices[k], manifest.dim) for k in indices]
+    solutions = [classical_mds(matrix, manifest.dim) for matrix in tensor.slices]
 
     slice_summaries = []
     for k, solution in enumerate(solutions):
@@ -226,7 +206,6 @@ def run_cmds_command(manifest: RunManifest) -> int:
         {"manifest_sha256": digest, "dim": manifest.dim, "slices": slice_summaries},
         out / "summary.json",
     )
-    io.write_json({"manifest_sha256": digest, **manifest.to_dict()}, out / "manifest.json")
     print(f"embedded {tensor.num_times} slices at dim {manifest.dim} into {out}")
     return 0
 
@@ -247,19 +226,7 @@ def run_fmds_command(manifest: RunManifest) -> int:
     unit_grid = (tensor.time_grid - origin) / span
     unit_tensor = DissimilarityTensor(unit_grid, tensor.slices)
 
-    config = FitConfig(
-        p=manifest.dim,
-        interior_knots=manifest.interior_knots,
-        alpha=manifest.alpha,
-        gamma1=manifest.gamma1,
-        gamma2=manifest.gamma2,
-        eps=manifest.eps,
-        max_epochs=manifest.max_epochs,
-        rng_seed=manifest.seed,
-        init_mode=manifest.init,
-        baseline=manifest.baseline,
-    )
-    result = fit(unit_tensor, config)
+    result = fit(unit_tensor, manifest.fit_config())
 
     dense_unit = np.linspace(0.0, 1.0, DENSE_GRID_POINTS)
     trajectory = evaluate_trajectories(result.coefficients, dense_unit)
@@ -293,11 +260,10 @@ def run_fmds_command(manifest: RunManifest) -> int:
             "initial_stress": result.initial_stress,
             "final_stress": float(result.stress_per_epoch[-1]),
             "final_max_displacement": float(result.max_displacement_per_epoch[-1]),
-            "eps": config.eps,
+            "eps": manifest.eps,
         },
         out / "summary.json",
     )
-    io.write_json({"manifest_sha256": digest, **manifest.to_dict()}, out / "manifest.json")
 
     for dim in range(result.coefficients.p):
         svg = svgplot.multiline_svg(
@@ -335,7 +301,6 @@ def run_synth_command(manifest: RunManifest) -> int:
     labels = tuple(f"o{i + 1}" for i in range(scenario.n))
     io.write_trajectories(tensor.time_grid, truth.transpose(1, 0, 2), labels,
                           out / "truth.csv", manifest_hash=digest)
-    io.write_json({"manifest_sha256": digest, **manifest.to_dict()}, out / "manifest.json")
     print(f"wrote scenario {scenario.kind!r} (n={scenario.n}, m={scenario.m}) to {out}")
     return 0
 
@@ -463,15 +428,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         _print_verify(report)
         return 0 if report.passed else 4
     manifest = _manifest_from_args(args)
-    if args.command == "dissim":
-        return run_dissim_command(manifest)
-    if args.command == "cmds":
-        return run_cmds_command(manifest)
-    if args.command == "fmds":
-        return run_fmds_command(manifest)
-    if args.command == "synth":
-        return run_synth_command(manifest)
-    raise ConfigError(f"unknown command {args.command!r}")
+    run = {"dissim": run_dissim_command, "cmds": run_cmds_command,
+           "fmds": run_fmds_command, "synth": run_synth_command}[manifest.command]
+    status = run(manifest)
+    io.write_json({"manifest_sha256": manifest.sha256(), **manifest.to_dict()},
+                  Path(manifest.out_dir) / "manifest.json")
+    return status
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -53,13 +53,11 @@ def double_center(matrix: DissimilarityMatrix) -> np.ndarray:
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its first non-negligible entry is positive."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        big = np.nonzero(np.abs(col) > _SIGN_FLOOR)[0]
-        if big.size and col[big[0]] < 0:
-            out[:, k] = -col
-    return out
+    big = np.abs(vectors) > _SIGN_FLOOR
+    cols = np.arange(vectors.shape[1])
+    first = np.argmax(big, axis=0)
+    flip = big[first, cols] & (vectors[first, cols] < 0)
+    return np.where(flip, -vectors, vectors)
 
 
 def classical_mds(matrix: DissimilarityMatrix, p: int) -> CmdsSolution:
@@ -84,7 +82,8 @@ def classical_mds(matrix: DissimilarityMatrix, p: int) -> CmdsSolution:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     evecs = _fix_signs(evecs)
-    order = sorted(range(n), key=lambda k: (-evals[k], tuple(evecs[:, k])))
+    # primary key -evals (lexsort's last row), then the eigenvector entries in order
+    order = np.lexsort(np.vstack((evecs[::-1], -evals)))
     evals = evals[order]
     evecs = evecs[:, order]
 

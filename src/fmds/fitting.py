@@ -75,6 +75,45 @@ class CoefficientSet:
         return self.coefficients.shape[2]
 
 
+@dataclass(frozen=True)
+class FitConfig:
+    """Fit hyperparameters.
+
+    ``interior_knots=None`` resolves to max(1, m // 10) at fit time, where
+    m is the number of tensor time points; the basis is always cubic, so
+    q = 4 + interior_knots.
+    """
+
+    p: int = 2
+    interior_knots: int | None = None
+    alpha: float = 0.001
+    gamma1: float = 0.9
+    gamma2: float = 0.999
+    eps: float = 1e-6
+    max_epochs: int = 1000
+    rng_seed: int = 0
+    init_mode: str = "cmds_warm"
+    baseline: str = "adam"
+
+    def __post_init__(self):
+        if self.p < 1:
+            raise ConfigError(f"embedding dimension must be at least 1, got {self.p}")
+        if self.interior_knots is not None and self.interior_knots < 0:
+            raise ConfigError(f"interior knot count must be nonnegative, got {self.interior_knots}")
+        if self.alpha <= 0:
+            raise ConfigError(f"step size must be positive, got {self.alpha}")
+        if not 0 <= self.gamma1 < 1 or not 0 <= self.gamma2 < 1:
+            raise ConfigError("decay rates must lie in [0, 1)")
+        if self.eps <= 0:
+            raise ConfigError(f"convergence tolerance must be positive, got {self.eps}")
+        if self.max_epochs < 1:
+            raise ConfigError(f"max_epochs must be at least 1, got {self.max_epochs}")
+        if self.init_mode not in ("cmds_warm", "random"):
+            raise ConfigError(f"unknown init mode {self.init_mode!r}")
+        if self.baseline not in ("adam", "full_batch_gd"):
+            raise ConfigError(f"unknown baseline {self.baseline!r}")
+
+
 @dataclass
 class AdamState:
     """Per-object first/second moment estimates and update counters.
@@ -86,14 +125,15 @@ class AdamState:
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_counts: np.ndarray
-    alpha: float = 0.001
-    gamma1: float = 0.9
-    gamma2: float = 0.999
+    alpha: float = FitConfig.alpha
+    gamma1: float = FitConfig.gamma1
+    gamma2: float = FitConfig.gamma2
     denom_shift: float = 1e-8
 
     @classmethod
-    def zeros(cls, n: int, p: int, q: int, *, alpha: float = 0.001, gamma1: float = 0.9,
-              gamma2: float = 0.999, denom_shift: float = 1e-8) -> "AdamState":
+    def zeros(cls, n: int, p: int, q: int, *, alpha: float = FitConfig.alpha,
+              gamma1: float = FitConfig.gamma1, gamma2: float = FitConfig.gamma2,
+              denom_shift: float = 1e-8) -> "AdamState":
         return cls(
             first_moment=np.zeros((n, p, q)),
             second_moment=np.zeros((n, p, q)),
@@ -151,45 +191,6 @@ def _adam_update(moments, grads, decay, gain, correction, neg_alpha, shift, scra
     np.add(v_hat, shift, v_hat)
     np.multiply(m_hat, neg_alpha, out)
     np.divide(out, v_hat, out)
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Fit hyperparameters.
-
-    ``interior_knots=None`` resolves to max(1, m // 10) at fit time, where
-    m is the number of tensor time points; the basis is always cubic, so
-    q = 4 + interior_knots.
-    """
-
-    p: int = 2
-    interior_knots: int | None = None
-    alpha: float = 0.001
-    gamma1: float = 0.9
-    gamma2: float = 0.999
-    eps: float = 1e-6
-    max_epochs: int = 1000
-    rng_seed: int = 0
-    init_mode: str = "cmds_warm"
-    baseline: str = "adam"
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise ConfigError(f"embedding dimension must be at least 1, got {self.p}")
-        if self.interior_knots is not None and self.interior_knots < 0:
-            raise ConfigError(f"interior knot count must be nonnegative, got {self.interior_knots}")
-        if self.alpha <= 0:
-            raise ConfigError(f"step size must be positive, got {self.alpha}")
-        if not 0 <= self.gamma1 < 1 or not 0 <= self.gamma2 < 1:
-            raise ConfigError("decay rates must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ConfigError(f"convergence tolerance must be positive, got {self.eps}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be at least 1, got {self.max_epochs}")
-        if self.init_mode not in ("cmds_warm", "random"):
-            raise ConfigError(f"unknown init mode {self.init_mode!r}")
-        if self.baseline not in ("adam", "full_batch_gd"):
-            raise ConfigError(f"unknown baseline {self.baseline!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,9 +2,10 @@
 
 Panels are wide CSV (header row of time labels, one row per object);
 dissimilarity tensors are long CSV with columns t,i,j,d over the upper
-triangle. Floats are written with 17 significant digits so a write/read
-round trip is exact. Lines starting with '#' are comments; writers use
-them to embed the producing manifest's hash.
+triangle. Floats are written with 17 significant digits, and labels holding
+a comma, quote or line break are quoted, so a write/read round trip is
+exact. Lines starting with '#' are comments; writers use them to embed the
+producing manifest's hash.
 """
 
 from __future__ import annotations
@@ -33,6 +34,14 @@ def _data_lines(path) -> list[tuple[int, str]]:
         if stripped and not stripped.startswith("#"):
             lines.append((lineno, line))
     return lines
+
+
+def _label_cell(label) -> str:
+    """An object label as one CSV cell, quoted only when it must be."""
+    text = str(label)
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _parse_cells(lines: list[tuple[int, str]]) -> list[tuple[int, list[str]]]:
@@ -99,7 +108,7 @@ def write_panel(panel: ObjectPanel, path, manifest_hash: str | None = None) -> N
         lines.append(f"# manifest={manifest_hash}")
     lines.append("object," + ",".join(_FLOAT.format(t) for t in panel.time_grid))
     for label, row in zip(panel.labels, panel.values):
-        lines.append(label + "," + ",".join(_FLOAT.format(v) for v in row))
+        lines.append(_label_cell(label) + "," + ",".join(_FLOAT.format(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -197,7 +206,7 @@ def write_coordinates(configuration: np.ndarray, labels, path,
         lines.append(f"# manifest={manifest_hash}")
     lines.append("object," + ",".join(f"x{k + 1}" for k in range(p)))
     for label, row in zip(labels, configuration):
-        lines.append(str(label) + "," + ",".join(_FLOAT.format(v) for v in row))
+        lines.append(_label_cell(label) + "," + ",".join(_FLOAT.format(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -212,7 +221,7 @@ def write_trajectories(grid: np.ndarray, positions: np.ndarray, labels, path,
     for k, t in enumerate(grid):
         for i, label in enumerate(labels):
             coords = ",".join(_FLOAT.format(v) for v in positions[k, i])
-            lines.append(f"{_FLOAT.format(t)},{label},{coords}")
+            lines.append(f"{_FLOAT.format(t)},{_label_cell(label)},{coords}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -3,23 +3,26 @@
 Every output file of a run embeds the manifest's hash, so artifacts can be
 traced back to the exact inputs and settings that produced them, and
 rerunning an identical manifest overwrites outputs byte-identically.
+
+The fit fields (``dim`` through ``baseline``) mirror ``FitConfig``: they
+take its defaults, and ``fit_config`` builds the config, so its checks are
+the manifest's checks too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigError
+from .fitting import FitConfig
 
 FORMAT_VERSION = "1"
 
 _COMMANDS = ("cmds", "fmds", "dissim", "synth")
 _FORMATS = ("tensor_csv", "wide_csv")
 _METRICS = ("euclidean", "correlation")
-_INITS = ("cmds_warm", "random")
-_BASELINES = ("adam", "full_batch_gd")
 
 
 @dataclass(frozen=True)
@@ -32,16 +35,16 @@ class RunManifest:
     metric: str = "euclidean"
     window_len: int | None = None
     stride: int = 1
-    dim: int = 2
-    interior_knots: int | None = None
-    alpha: float = 0.001
-    gamma1: float = 0.9
-    gamma2: float = 0.999
-    eps: float = 1e-6
-    max_epochs: int = 1000
-    seed: int = 0
-    init: str = "cmds_warm"
-    baseline: str = "adam"
+    dim: int = FitConfig.p
+    interior_knots: int | None = FitConfig.interior_knots
+    alpha: float = FitConfig.alpha
+    gamma1: float = FitConfig.gamma1
+    gamma2: float = FitConfig.gamma2
+    eps: float = FitConfig.eps
+    max_epochs: int = FitConfig.max_epochs
+    seed: int = FitConfig.rng_seed
+    init: str = FitConfig.init_mode
+    baseline: str = FitConfig.baseline
     scenario: str = "smooth_rotation"
     scenario_n: int = 5
     scenario_m: int = 40
@@ -61,22 +64,16 @@ class RunManifest:
             raise ConfigError(f"window length must be positive, got {self.window_len}")
         if self.stride < 1:
             raise ConfigError(f"stride must be positive, got {self.stride}")
-        if self.dim < 1:
-            raise ConfigError(f"dimension must be at least 1, got {self.dim}")
-        if self.interior_knots is not None and self.interior_knots < 0:
-            raise ConfigError(f"knot count must be nonnegative, got {self.interior_knots}")
-        if self.alpha <= 0:
-            raise ConfigError(f"step size must be positive, got {self.alpha}")
-        if not 0 <= self.gamma1 < 1 or not 0 <= self.gamma2 < 1:
-            raise ConfigError("decay rates must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ConfigError(f"convergence tolerance must be positive, got {self.eps}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be at least 1, got {self.max_epochs}")
-        if self.init not in _INITS:
-            raise ConfigError(f"unknown init mode {self.init!r}")
-        if self.baseline not in _BASELINES:
-            raise ConfigError(f"unknown baseline {self.baseline!r}")
+        self.fit_config()
+
+    def fit_config(self) -> FitConfig:
+        """The fit settings as a checked ``FitConfig``."""
+        return FitConfig(
+            p=self.dim, interior_knots=self.interior_knots, alpha=self.alpha,
+            gamma1=self.gamma1, gamma2=self.gamma2, eps=self.eps,
+            max_epochs=self.max_epochs, rng_seed=self.seed, init_mode=self.init,
+            baseline=self.baseline,
+        )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -89,12 +86,6 @@ class RunManifest:
             raise ConfigError(f"unknown manifest fields: {sorted(extra)}")
         return cls(**data)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     def sha256(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def with_updates(self, **changes) -> "RunManifest":
-        return replace(self, **changes)

@@ -1,9 +1,9 @@
 """Minimal self-contained SVG plots.
 
 No rendering dependency: plots are assembled as strings with fixed float
-formatting, so identical data produces identical bytes. Numeric CSVs
-always accompany these files, so anything fancier can be re-plotted
-elsewhere.
+formatting, so identical data produces identical bytes; labels and titles
+are XML-escaped. Numeric CSVs always accompany these files, so anything
+fancier can be re-plotted elsewhere.
 """
 
 from __future__ import annotations
@@ -22,6 +22,11 @@ _PALETTE = (
 
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
+
+
+def _escape(text) -> str:
+    """A label or title as SVG text content (xml.sax.saxutils would pull in urllib)."""
+    return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 class _Frame:
@@ -61,11 +66,11 @@ class _Frame:
             )
         parts.append(
             f'<text x="{(left + right) / 2}" y="{HEIGHT - 12}" font-size="12" '
-            f'text-anchor="middle" fill="#000">{xlabel}</text>'
+            f'text-anchor="middle" fill="#000">{_escape(xlabel)}</text>'
         )
         parts.append(
             f'<text x="16" y="{(top + bottom) / 2}" font-size="12" text-anchor="middle" '
-            f'fill="#000" transform="rotate(-90 16 {(top + bottom) / 2})">{ylabel}</text>'
+            f'fill="#000" transform="rotate(-90 16 {(top + bottom) / 2})">{_escape(ylabel)}</text>'
         )
         return parts
 
@@ -88,7 +93,7 @@ def _document(body: list[str], title: str, comments: list[str]) -> str:
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         f'<text x="{WIDTH / 2}" y="28" font-size="15" text-anchor="middle" '
-        f'fill="#000">{title}</text>',
+        f'fill="#000">{_escape(title)}</text>',
     ]
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
@@ -125,7 +130,7 @@ def scatter_svg(points: np.ndarray, labels=None, title: str = "",
         if labels is not None:
             body.append(
                 f'<text x="{_fmt(frame.px(x) + 6)}" y="{_fmt(frame.py(y) - 6)}" '
-                f'font-size="10" fill="#333">{labels[i]}</text>'
+                f'font-size="10" fill="#333">{_escape(labels[i])}</text>'
             )
     return _document(body, title, comments or [])
 
@@ -144,7 +149,7 @@ def multiline_svg(x: np.ndarray, series: np.ndarray, labels, title: str = "",
         body.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         body.append(
             f'<text x="{WIDTH - MARGIN + 4}" y="{_fmt(frame.py(row[-1]) + 4)}" '
-            f'font-size="10" fill="{color}">{labels[i]}</text>'
+            f'font-size="10" fill="{color}">{_escape(labels[i])}</text>'
         )
     return _document(body, title, comments or [])
 
@@ -170,6 +175,6 @@ def paths2d_svg(paths: np.ndarray, labels, title: str = "",
         )
         body.append(
             f'<text x="{_fmt(frame.px(x0) + 6)}" y="{_fmt(frame.py(y0) - 6)}" '
-            f'font-size="10" fill="{color}">{labels[i]}</text>'
+            f'font-size="10" fill="{color}">{_escape(labels[i])}</text>'
         )
     return _document(body, title, comments or [])

@@ -1,14 +1,15 @@
 """Tests for the command-line interface: subcommands, artifacts, exit codes."""
 
+import argparse
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import pytest
 
-from fmds.cli import main, verify_command
+from fmds.cli import _FIELD_OF_FLAG, _manifest_from_args, build_parser, main, verify_command
 from fmds.io import ingest_tensor
+from fmds.manifest import RunManifest
 
 
 def _run(*args):
@@ -28,6 +29,34 @@ def rotation_tensor(tmp_path):
     assert _run("synth", "--scenario", "smooth_rotation", "--n", "4", "--m", "20",
                 "--seed", "7", "--out", out) == 0
     return out / "tensor.csv"
+
+
+class TestArguments:
+    @pytest.mark.parametrize("argv, digest", [
+        (["fmds", "--input", "x.csv", "--out", "o"],
+         "d58c1cdc0903bbd0d0b6c62834376faed91f7c21f60a85bef6771f4b9b8e8510"),
+        (["synth", "--out", "o"],
+         "5b8a75a0e935a0997d9f91ee50bbb5cac9b378d79e6202d5d0d0c99f73ee6c21"),
+    ])
+    def test_default_manifest_hash_pinned(self, argv, digest):
+        assert _manifest_from_args(build_parser().parse_args(argv)).sha256() == digest
+
+    def test_every_flag_maps_to_a_manifest_field(self):
+        (commands,) = [a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        fields = set(RunManifest.__dataclass_fields__)
+        for name, parser in commands.choices.items():
+            for action in parser._actions:
+                if action.dest not in ("help", "inject_fault"):
+                    assert _FIELD_OF_FLAG.get(action.dest, action.dest) in fields, \
+                        (name, action.dest)
+
+    @pytest.mark.parametrize("command", ["synth", "dissim", "cmds", "fmds", "verify"])
+    def test_help_exits_cleanly(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert "--" in capsys.readouterr().out
 
 
 class TestSynth:
@@ -94,18 +123,14 @@ class TestCmds:
         assert _run("cmds", "--input", rotation_tensor, "--dim", "4",
                     "--out", tmp_path / "c") == 4
 
-    def test_thread_fanout_deterministic(self, rotation_tensor, tmp_path):
+    def test_rerun_deterministic(self, rotation_tensor, tmp_path):
         out = tmp_path / "c"
         args = ("cmds", "--input", rotation_tensor, "--dim", "2", "--out", out,
                 "--deterministic")
         assert _run(*args) == 0
-        serial = _digest_dir(out)
-        os.environ["FMDS_THREADS"] = "3"
-        try:
-            assert _run(*args) == 0
-        finally:
-            del os.environ["FMDS_THREADS"]
-        assert _digest_dir(out) == serial
+        first = _digest_dir(out)
+        assert _run(*args) == 0
+        assert _digest_dir(out) == first
 
 
 class TestFmdsCommand:

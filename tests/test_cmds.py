@@ -124,6 +124,36 @@ class TestClassicalMds:
             nz = col[np.abs(col) > 1e-9]
             assert nz[0] > 0
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 40])
+    def test_tie_breaking_matches_tuple_key_sort(self, n):
+        def reference(matrix, p):
+            # the column-by-column sign fix and tuple-key sort classical_mds replaced
+            evals, evecs = np.linalg.eigh(double_center(matrix))
+            for k in range(n):
+                big = np.nonzero(np.abs(evecs[:, k]) > 1e-12)[0]
+                if big.size and evecs[big[0], k] < 0:
+                    evecs[:, k] = -evecs[:, k]
+            order = sorted(range(n), key=lambda k: (-evals[k], tuple(evecs[:, k])))
+            evals, evecs = evals[order], evecs[:, order]
+            return evals, evecs[:, :p] * np.sqrt(np.maximum(evals[:p], 0.0))
+
+        rng = np.random.default_rng(n)
+        simplex = DissimilarityMatrix(1.0 - np.eye(n))
+        assert len(np.unique(np.linalg.eigh(double_center(simplex))[0])) < n or n == 2
+        for matrix in (simplex, DissimilarityMatrix(np.zeros((n, n))),
+                       _random_cloud_matrix(rng, n, 3)):
+            for p in {1, n - 1}:
+                solution = classical_mds(matrix, p)
+                evals, configuration = reference(matrix, p)
+                assert np.array_equal(solution.eigenvalues, evals)
+                assert np.array_equal(solution.configuration, configuration)
+
+    def test_sign_fix_leaves_negligible_columns(self):
+        from fmds.cmds import _fix_signs
+
+        vectors = np.array([[-1e-13, -2e-13, 0.0], [5e-13, -3.0, -1e-14], [0.0, 1.0, -2.0]])
+        npt.assert_array_equal(_fix_signs(vectors), vectors * [1.0, -1.0, -1.0])
+
     def test_eigensolver_residual(self):
         from fmds import double_center
 

@@ -1,4 +1,7 @@
-"""Tests for file formats: panel/tensor ingestion, writers, manifests."""
+"""Tests for file formats: panel/tensor ingestion, writers, SVG plots, manifests."""
+
+import csv
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import numpy.testing as npt
@@ -8,11 +11,20 @@ from fmds import (
     ConfigError,
     DissimilarityMatrix,
     DissimilarityTensor,
+    FitConfig,
     IngestError,
     ObjectPanel,
     euclidean_dissimilarity,
 )
-from fmds.io import ingest_panel, ingest_tensor, write_panel, write_tensor
+from fmds import svgplot
+from fmds.io import (
+    ingest_panel,
+    ingest_tensor,
+    write_coordinates,
+    write_panel,
+    write_tensor,
+    write_trajectories,
+)
 from fmds.manifest import RunManifest
 
 
@@ -83,6 +95,42 @@ class TestIngestPanel:
         assert back.labels == panel.labels
         npt.assert_array_equal(back.values, panel.values)
         npt.assert_array_equal(back.time_grid, panel.time_grid)
+
+    def test_quoted_label_round_trip(self, tmp_path):
+        path = _write(tmp_path, "p.csv", 'object,1,2\n"a,b",1,2\n"say ""hi""",3,4\nc,5,6\n')
+        panel = ingest_panel(path)
+        assert panel.labels == ("a,b", 'say "hi"', "c")
+        write_panel(panel, tmp_path / "rt.csv")
+        back = ingest_panel(tmp_path / "rt.csv")
+        assert back.labels == panel.labels
+        npt.assert_array_equal(back.values, panel.values)
+
+
+def test_writers_quote_labels(tmp_path):
+    labels = ("a,b", 'q"uote', "line\nbreak", "plain")
+    write_coordinates(np.ones((4, 2)), labels, tmp_path / "c.csv")
+    write_trajectories(np.arange(2.0), np.ones((2, 4, 1)), labels, tmp_path / "t.csv")
+    with open(tmp_path / "c.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert [row[0] for row in rows[1:]] == list(labels)
+    with open(tmp_path / "t.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert [row[1] for row in rows[1:]] == list(labels) * 2
+    assert all(len(row) == 3 for row in rows)
+    assert "plain,1," in (tmp_path / "c.csv").read_text()
+
+
+def test_svg_escapes_labels_and_titles():
+    labels = ("A&B", "<c>")
+    points = np.array([[0.0, 1.0], [1.0, 0.0]])
+    documents = (
+        svgplot.scatter_svg(points, labels, title="x & y"),
+        svgplot.multiline_svg(np.arange(2.0), points, labels, title="a<b", ylabel="p&q"),
+        svgplot.paths2d_svg(np.stack((points, points)), labels, title="t&"),
+    )
+    for document in documents:
+        texts = [el.text for el in ET.fromstring(document).iter("{http://www.w3.org/2000/svg}text")]
+        assert "A&B" in texts and "<c>" in texts
 
 
 class TestIngestTensor:
@@ -179,11 +227,20 @@ class TestRunManifest:
             {"command": "dissim", "stride": 0},
             {"command": "dissim", "metric": "cosine"},
             {"command": "fmds", "init": "zeros"},
+            {"command": "fmds", "alpha": 0.0},
+            {"command": "fmds", "gamma1": 1.0},
+            {"command": "fmds", "interior_knots": -1},
+            {"command": "fmds", "baseline": "sgd"},
+            {"command": "dissim", "window_len": 0},
+            {"command": "dissim", "input_format": "xml"},
         ],
     )
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             RunManifest(**kwargs).validate()
+
+    def test_fit_defaults_are_fit_configs(self):
+        assert RunManifest(command="fmds").fit_config() == FitConfig()
 
 
 def test_matrix_rejects_non_square():
