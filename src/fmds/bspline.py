@@ -105,18 +105,43 @@ def _check_in_domain(kv: KnotVector, t: float) -> None:
         raise OutOfDomain(f"t = {t} outside the domain [{a}, {b}]")
 
 
-def _owning_interval(knots: np.ndarray, t: float) -> int:
-    """Index l of the half-open interval [knot_l, knot_{l+1}) containing t.
+def _tabulate(kv: KnotVector, pts: np.ndarray, order: int) -> np.ndarray:
+    """Order-``order`` basis values at every point, one row per point.
 
-    The right endpoint of the domain belongs to the last nonempty interval,
-    which keeps the order-1 functions a partition of unity on the closed
-    domain.
+    Each point starts from the order-1 indicator of its half-open knot
+    interval [knot_l, knot_{l+1}); a point on a zero-width interval steps
+    back to the nearest nonempty one below it, so the domain's right
+    endpoint belongs to the last nonempty interval and the order-1
+    functions are a partition of unity on the closed domain. Rows are then
+    raised one order at a time for all points together. Each entry starts
+    from 0.0 and gains the recurrence's left and right terms only where the
+    lower-order value a term multiplies is nonzero. There the point lies in
+    that function's support, a nonempty run of knot intervals, so the knot
+    span is positive (coincident knots never divide) and the ratio lies in
+    [0, 1] (it cannot overflow into 0 * inf = nan). The terms skipped are
+    zero, so every finite entry matches the scalar recurrence bit for bit.
     """
-    j = int(np.searchsorted(knots, t, side="right")) - 1
-    j = min(j, len(knots) - 2)
-    while j > 0 and knots[j + 1] <= knots[j]:
-        j -= 1
-    return j
+    a, b = kv.domain
+    outside = ~((a <= pts) & (pts <= b))
+    if outside.any():
+        _check_in_domain(kv, pts[np.argmax(outside)])  # raises for the first one
+    knots = kv.extended
+    interval = np.arange(knots.size - 1)
+    owner = np.maximum.accumulate(np.where(knots[1:] > knots[:-1], interval, 0))
+    cell = np.minimum(np.searchsorted(knots, pts, side="right") - 1, knots.size - 2)
+    rows = (owner[cell][:, None] == interval).astype(float)
+    for s in range(2, order + 1):
+        count = knots.size - s
+        lo, hi = knots[:count], knots[s:]
+        left_span = knots[s - 1:s - 1 + count] - lo
+        right_span = hi - knots[1:count + 1]
+        raised = np.zeros((pts.size, count))
+        j, l = np.nonzero(rows[:, :count])
+        raised[j, l] += (pts[j] - lo[l]) / left_span[l] * rows[j, l]
+        j, l = np.nonzero(rows[:, 1:])
+        raised[j, l] += (hi[l] - pts[j]) / right_span[l] * rows[j, l + 1]
+        rows = raised
+    return rows
 
 
 def eval_basis_order1(kv: KnotVector, t: float) -> np.ndarray:
@@ -127,9 +152,7 @@ def eval_basis_order1(kv: KnotVector, t: float) -> np.ndarray:
     identically zero functions.
     """
     _check_in_domain(kv, t)
-    row = np.zeros(kv.extended.size - 1)
-    row[_owning_interval(kv.extended, t)] = 1.0
-    return row
+    return _tabulate(kv, np.array([t], dtype=float), 1)[0]
 
 
 def eval_basis(kv: KnotVector, t: float) -> np.ndarray:
@@ -139,41 +162,16 @@ def eval_basis(kv: KnotVector, t: float) -> np.ndarray:
     to 1, with at most ``kv.order`` of them nonzero.
     """
     _check_in_domain(kv, t)
-    knots = kv.extended
-    row = np.zeros(knots.size - 1)
-    row[_owning_interval(knots, t)] = 1.0
-    for order in range(2, kv.order + 1):
-        row = _raise_order(knots, row, order, t)
-    return row
-
-
-def _raise_order(knots: np.ndarray, lower: np.ndarray, order: int, t: float) -> np.ndarray:
-    """One recurrence step: order-(order-1) values -> order-``order`` values.
-
-    Weights attached to coincident knots are defined as zero, which kills
-    the identically-zero functions living on zero-width intervals.
-    """
-    count = knots.size - order
-    out = np.zeros(count)
-    for l in range(count):
-        acc = 0.0
-        left_span = knots[l + order - 1] - knots[l]
-        if left_span > 0.0:
-            acc += (t - knots[l]) / left_span * lower[l]
-        right_span = knots[l + order] - knots[l + 1]
-        if right_span > 0.0:
-            acc += (knots[l + order] - t) / right_span * lower[l + 1]
-        out[l] = acc
-    return out
+    return _tabulate(kv, np.array([t], dtype=float), kv.order)[0]
 
 
 def basis_matrix(kv: KnotVector, grid) -> BasisMatrix:
-    """Tabulate the basis on a grid of points inside the domain."""
+    """Tabulate the basis on a grid of points inside the domain.
+
+    Raises OutOfDomain naming the first grid point outside the domain.
+    """
     pts = np.asarray(grid, dtype=float).ravel()
-    values = np.empty((pts.size, kv.num_basis))
-    for j, t in enumerate(pts):
-        values[j] = eval_basis(kv, t)
-    return BasisMatrix(values, pts, kv)
+    return BasisMatrix(_tabulate(kv, pts, kv.order), pts, kv)
 
 
 def _solve_least_squares(design: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -191,21 +191,22 @@ def correlation_dissimilarity(panel: ObjectPanel, window: tuple[int, int]) -> Di
     segment = panel.values[:, start:stop]
     centered = segment - segment.mean(axis=1, keepdims=True)
     sumsq = (centered * centered).sum(axis=1)
-    for i, ss in enumerate(sumsq):
-        if ss == 0.0:
-            raise DegenerateSeries(
-                f"object {panel.labels[i]!r} is constant on window ({start}, {stop})"
-            )
-    n = panel.n
-    out = np.zeros((n, n))
+    constant = np.flatnonzero(sumsq == 0.0)
+    if constant.size:
+        raise DegenerateSeries(
+            f"object {panel.labels[constant[0]]!r} is constant on window ({start}, {stop})"
+        )
+    # Each (1, w) @ (w, 1) product is a vector-vector matmul, which numpy
+    # hands to the same BLAS dot as ``centered[i] @ centered[j]``; a single
+    # ``centered @ centered.T`` goes through gemm, whose blocked sums differ
+    # in the last bits.
+    gram = (centered[:, None, None, :] @ centered[:, :, None])[..., 0, 0]
     scale = np.sqrt(sumsq)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = float(centered[i] @ centered[j]) / (scale[i] * scale[j])
-            d = (1.0 - float(np.clip(r, -1.0, 1.0))) / 2.0
-            out[i, j] = d
-            out[j, i] = d
-    return DissimilarityMatrix(out)
+    r = np.clip(gram / np.multiply.outer(scale, scale), -1.0, 1.0)
+    upper = np.triu((1.0 - r) / 2.0, 1)
+    # entries are >= 0, so adding the zero lower triangle changes no bit and
+    # leaves the result exactly symmetric with an exactly zero diagonal
+    return DissimilarityMatrix(upper + upper.T)
 
 
 def rolling_dissimilarity_tensor(
@@ -255,10 +256,12 @@ def validate(matrix: DissimilarityMatrix, tol: float = 1e-10) -> ValidityReport:
     max_negative = float(max(0.0, -vals.min())) if vals.size else 0.0
     max_diagonal = float(np.abs(np.diag(vals)).max()) if vals.size else 0.0
     max_asymmetry = float(np.abs(vals - vals.T).max()) if vals.size else 0.0
-    # worst violation of d_ij <= d_is + d_sj over all triples (i, j, s)
-    via = vals[:, None, :] + vals.T[None, :, :]
-    slack = vals[:, :, None] - via
-    max_triangle_violation = float(max(0.0, slack.max()))
+    # worst violation of d_ij <= d_is + d_sj over all triples (i, j, s), one
+    # intermediate s at a time so memory stays O(n^2); max is exact in any order
+    max_triangle_violation = 0.0
+    for s in range(vals.shape[0]):
+        slack = vals - (vals[:, s, None] + vals[s])
+        max_triangle_violation = max(max_triangle_violation, float(slack.max()))
     return ValidityReport(
         nonnegative=max_negative <= tol,
         zero_diagonal=max_diagonal <= tol,

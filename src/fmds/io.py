@@ -3,9 +3,9 @@
 Panels are wide CSV (header row of time labels, one row per object);
 dissimilarity tensors are long CSV with columns t,i,j,d over the upper
 triangle. Floats are written with 17 significant digits, and labels holding
-a comma, quote or line break are quoted, so a write/read round trip is
-exact. Lines starting with '#' are comments; writers use them to embed the
-producing manifest's hash.
+a comma, quote or line break, or starting with '#', are quoted, so a
+write/read round trip is exact. Lines starting with '#' outside a quoted
+cell are comments; writers use them to embed the producing manifest's hash.
 """
 
 from __future__ import annotations
@@ -22,31 +22,41 @@ from .errors import IngestError
 _FLOAT = "{:.17g}"
 
 
-def _data_lines(path) -> list[tuple[int, str]]:
-    """Non-comment, non-blank lines of a text file with 1-based line numbers."""
+def _records(path) -> list[tuple[int, list[str]]]:
+    """CSV records of a text file, each with the 1-based line it starts on.
+
+    Blank lines and lines starting with '#' are skipped between records;
+    inside a quoted cell they belong to the cell, so a quoted label may hold
+    a line break or start with '#'. Cells are stripped of surrounding
+    whitespace.
+    """
     try:
-        raw = Path(path).read_text()
+        with open(path, newline="") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-    lines = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            lines.append((lineno, line))
-    return lines
+    # line number of the record the reader is inside; empty between records
+    start: list[int] = []
+
+    def lines():
+        for lineno, line in enumerate(raw.splitlines(keepends=True), start=1):
+            if not start:
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                start.append(lineno)
+            yield line
+
+    # the reader pulls lines only until its current record is complete
+    return [(start.pop(), [c.strip() for c in row]) for row in csv.reader(lines())]
 
 
 def _label_cell(label) -> str:
     """An object label as one CSV cell, quoted only when it must be."""
     text = str(label)
-    if any(ch in text for ch in ',"\r\n'):
+    if any(ch in text for ch in ',"\r\n') or text.lstrip().startswith("#"):
         return '"' + text.replace('"', '""') + '"'
     return text
-
-
-def _parse_cells(lines: list[tuple[int, str]]) -> list[tuple[int, list[str]]]:
-    reader = csv.reader(line for _, line in lines)
-    return [(lines[i][0], [c.strip() for c in row]) for i, row in enumerate(reader)]
 
 
 def ingest_panel(path) -> ObjectPanel:
@@ -56,7 +66,7 @@ def ingest_panel(path) -> ObjectPanel:
     are; otherwise the grid falls back to 1..m); the first column carries
     object labels; the body must be fully numeric with no missing cells.
     """
-    rows = _parse_cells(_data_lines(path))
+    rows = _records(path)
     if len(rows) < 2:
         raise IngestError(f"{path}: need a header row and at least one object row")
     header_line, header = rows[0]
@@ -120,7 +130,7 @@ def ingest_tensor(path) -> DissimilarityTensor:
     time point. Object ids are arbitrary integers and are mapped to
     0..n-1 in sorted order.
     """
-    rows = _parse_cells(_data_lines(path))
+    rows = _records(path)
     if not rows:
         raise IngestError(f"{path}: empty file")
     header_line, header = rows[0]

@@ -176,6 +176,14 @@ class TestBasisMatrix:
         npt.assert_allclose(mat.values.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(mat.values >= 0) and np.all(mat.values <= 1)
 
+    def test_tiny_knot_span_stays_finite(self):
+        # (t - knot) / span overflows to inf on a subnormal span; the term it
+        # multiplies is zero there and must not turn the row into nan
+        kv = make_knots((0.0, 1.0), (5e-324, 0.5), order=2)
+        mat = basis_matrix(kv, [0.0, 5e-324, 0.5, 1.0]).values
+        assert np.all(np.isfinite(mat)) and np.all(mat >= 0.0)
+        npt.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)
+
     def test_propagates_out_of_domain(self):
         kv = make_knots((0.0, 1.0), (), order=4)
         with pytest.raises(OutOfDomain):
@@ -279,3 +287,85 @@ class TestEvalCurve:
         curve = SmoothCurve(np.zeros(4), kv)
         with pytest.raises(OutOfDomain):
             eval_curve(curve, 2.0)
+
+
+def _scalar_indicator_row(knots, t):
+    """Order-1 values as the point-by-point code found them: the owning
+    interval by searchsorted plus a backward walk over zero-width intervals."""
+    j = int(np.searchsorted(knots, t, side="right")) - 1
+    j = min(j, len(knots) - 2)
+    while j > 0 and knots[j + 1] <= knots[j]:
+        j -= 1
+    row = np.zeros(knots.size - 1)
+    row[j] = 1.0
+    return row
+
+
+def _scalar_recurrence_row(kv, t):
+    """The point-by-point evaluation the vectorised pass replaced: one Python
+    loop per order raise."""
+    knots = kv.extended
+    row = _scalar_indicator_row(knots, t)
+    for order in range(2, kv.order + 1):
+        count = knots.size - order
+        out = np.zeros(count)
+        for l in range(count):
+            acc = 0.0
+            left_span = knots[l + order - 1] - knots[l]
+            if left_span > 0.0:
+                acc += (t - knots[l]) / left_span * row[l]
+            right_span = knots[l + order] - knots[l + 1]
+            if right_span > 0.0:
+                acc += (knots[l + order] - t) / right_span * row[l + 1]
+            out[l] = acc
+        row = out
+    return row
+
+
+class TestVectorisedPassExact:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("domain, interior", [
+        ((0.0, 1.0), ()), ((0.0, 1.0), (0.5,)), ((0.0, 1.0), (0.1, 0.25, 0.7)),
+        ((-0.5, 1.0), (-0.3, 0.2, 0.6, 0.95)),
+    ])
+    def test_matches_scalar_recurrence_bit_for_bit(self, order, domain, interior):
+        a, b = domain
+        kv = make_knots(domain, interior, order)
+        rng = np.random.default_rng(order)
+        # both endpoints, every interior knot and its float neighbours
+        knots = np.asarray(interior, dtype=float)
+        grid = np.concatenate([[a, b, b, a], knots, np.nextafter(knots, a),
+                               np.nextafter(knots, b), rng.uniform(a, b, 40)])
+        expected = np.array([_scalar_recurrence_row(kv, t) for t in grid])
+        assert basis_matrix(kv, grid).values.tobytes() == expected.tobytes()
+        for t in grid[:8]:
+            assert eval_basis(kv, t).tobytes() == _scalar_recurrence_row(kv, t).tobytes()
+
+    def test_random_knots_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            kv = _random_knots(rng)
+            a, b = kv.domain
+            grid = np.concatenate([[a, b], kv.interior, rng.uniform(a, b, 25)])
+            expected = np.array([_scalar_recurrence_row(kv, t) for t in grid])
+            assert basis_matrix(kv, grid).values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_order1_rows_match_scalar_indicators(self, order):
+        kv = make_knots((0.0, 1.0), (0.25, 0.5), order=order)
+        for t in (0.0, 0.1, 0.25, np.nextafter(0.25, 0.0), 0.4, 0.5, 0.9, 1.0):
+            expected = _scalar_indicator_row(kv.extended, t)
+            assert eval_basis_order1(kv, t).tobytes() == expected.tobytes()
+
+    def test_out_of_domain_messages(self):
+        kv = make_knots((0.0, 1.0), (0.5,), order=4)
+        with pytest.raises(OutOfDomain, match=r"^t = 1\.2 outside the domain \[0\.0, 1\.0\]$"):
+            basis_matrix(kv, [0.0, 0.5, 1.2, -3.0])
+        with pytest.raises(OutOfDomain, match=r"^t = -3\.0 outside the domain \[0\.0, 1\.0\]$"):
+            basis_matrix(kv, [[0.0, -3.0], [1.2, 0.5]])
+        with pytest.raises(OutOfDomain, match=r"^t = nan outside the domain \[0\.0, 1\.0\]$"):
+            basis_matrix(kv, [0.3, np.nan])
+        with pytest.raises(OutOfDomain, match=r"^t = 2 outside the domain \[0\.0, 1\.0\]$"):
+            eval_basis(kv, 2)
+        with pytest.raises(OutOfDomain, match=r"^t = -0\.5 outside the domain \[0\.0, 1\.0\]$"):
+            eval_basis_order1(kv, -0.5)

@@ -218,3 +218,85 @@ class TestPanelValidation:
     def test_nonincreasing_grid(self):
         with pytest.raises(ShapeError):
             ObjectPanel(("a", "b"), np.zeros((2, 2)), np.array([1.0, 1.0]))
+
+
+def _pair_loop_slice(panel, start, stop):
+    """The i<j pair loop the vectorised correlation slice replaced."""
+    segment = panel.values[:, start:stop]
+    centered = segment - segment.mean(axis=1, keepdims=True)
+    scale = np.sqrt((centered * centered).sum(axis=1))
+    out = np.zeros((panel.n, panel.n))
+    for i in range(panel.n):
+        for j in range(i + 1, panel.n):
+            r = float(centered[i] @ centered[j]) / (scale[i] * scale[j])
+            d = (1.0 - float(np.clip(r, -1.0, 1.0))) / 2.0
+            out[i, j] = d
+            out[j, i] = d
+    return out
+
+
+class TestCorrelationExact:
+    # a gemm Gram matrix differs from the per-pair dot products in the last
+    # bits at windows like these
+    @pytest.mark.parametrize("window", [2, 3, 10, 16, 33, 100, 120])
+    @pytest.mark.parametrize("stride", [1, 2, 5])
+    def test_rolling_matches_pair_loop(self, window, stride):
+        rng = np.random.default_rng(window * 10 + stride)
+        values = np.cumsum(rng.normal(size=(9, 120)), axis=1) * rng.uniform(0.01, 100.0, (9, 1))
+        values[4] = -0.5 * values[2] + 3.0
+        panel = _panel(values)
+        tensor = rolling_dissimilarity_tensor(panel, "correlation", window, stride)
+        starts = range(0, 120 - window + 1, stride)
+        expected = np.array([_pair_loop_slice(panel, s, s + window) for s in starts])
+        assert np.array_equal(tensor.stacked(), expected)
+        single = correlation_dissimilarity(panel, (starts[-1], starts[-1] + window)).values
+        assert np.array_equal(single, expected[-1])
+        assert np.array_equal(single, single.T) and np.all(np.diag(single) == 0.0)
+
+    def test_degenerate_message_names_first_constant_object(self):
+        panel = _panel([[1.0, 2.0, 3.0, 5.0], [4.0, 4.0, 4.0, 1.0], [2.0, 2.0, 2.0, 2.0]])
+        with pytest.raises(DegenerateSeries) as err:
+            correlation_dissimilarity(panel, (0, 3))
+        assert str(err.value) == "object 's2' is constant on window (0, 3)"
+        with pytest.raises(DegenerateSeries) as err:
+            rolling_dissimilarity_tensor(panel, "correlation", 2, 1)
+        assert str(err.value) == "object 's2' is constant on window (0, 2)"
+        with pytest.raises(DegenerateSeries) as err:
+            correlation_dissimilarity(panel, (1, 4))
+        assert str(err.value) == "object 's3' is constant on window (1, 4)"
+
+
+def _cubic_validate(vals):
+    """The n^3 triangle probe the chunked one replaced, with the same checks."""
+    via = vals[:, None, :] + vals.T[None, :, :]
+    slack = vals[:, :, None] - via
+    return (float(max(0.0, -vals.min())), float(np.abs(np.diag(vals)).max()),
+            float(np.abs(vals - vals.T).max()), float(max(0.0, slack.max())))
+
+
+class TestValidateMemory:
+    def test_matches_cubic_probe(self):
+        rng = np.random.default_rng(7)
+        matrices = [rng.uniform(0.0, 1.0, (6, 6)), euclidean_dissimilarity(rng.normal(size=(8, 2))).values,
+                    correlation_dissimilarity(_panel(rng.normal(size=(12, 5))), (0, 5)).values,
+                    np.array([[0.0, 1.0], [2.0, 0.0]]), np.zeros((1, 1))]
+        for vals in matrices:
+            report = validate(DissimilarityMatrix(vals))
+            got = (report.max_negative, report.max_diagonal, report.max_asymmetry,
+                   report.max_triangle_violation)
+            assert got == _cubic_validate(vals)
+
+    def test_peak_memory_quadratic(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(8)
+        matrix = euclidean_dissimilarity(rng.normal(size=(300, 3)))
+        tracemalloc.start()
+        try:
+            report = validate(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the n^3 probe needed two 206 MiB arrays at n=300
+        assert peak < 16 * 2**20
+        assert report.passed and report.triangle_inequality

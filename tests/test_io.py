@@ -105,6 +105,24 @@ class TestIngestPanel:
         assert back.labels == panel.labels
         npt.assert_array_equal(back.values, panel.values)
 
+    def test_awkward_labels_round_trip_exactly(self, tmp_path):
+        labels = ("a\nb", "#x", 'q"uote', "c,d", "r\rs", "e\r\n\n#f", "plain")
+        panel = ObjectPanel(labels, np.arange(14.0).reshape(7, 2), np.array([0.5, 1.5]))
+        write_panel(panel, tmp_path / "rt.csv", manifest_hash="f00")
+        back = ingest_panel(tmp_path / "rt.csv")
+        assert back.labels == labels
+        npt.assert_array_equal(back.values, panel.values)
+
+    def test_line_numbers_after_multiline_cell(self, tmp_path):
+        path = _write(tmp_path, "p.csv",
+                      '# manifest=abc\nobject,1,2\n"a\n# not a comment\n\nb",1,2\n'
+                      "# comment\n\ncc,3,x\n")
+        with pytest.raises(IngestError, match=r"p\.csv:9: non-numeric value 'x' at row 3, column 3"):
+            ingest_panel(path)
+        path = _write(tmp_path, "q.csv", 'object,1,2\n"a\nb",1,2\ncc,3\n')
+        with pytest.raises(IngestError, match=r"q\.csv:4: expected 3 cells, found 2"):
+            ingest_panel(path)
+
 
 def test_writers_quote_labels(tmp_path):
     labels = ("a,b", 'q"uote', "line\nbreak", "plain")
