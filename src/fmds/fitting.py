@@ -568,7 +568,13 @@ def evaluate_trajectories(coeffs: CoefficientSet, grid) -> EmbeddingTrajectory:
     pts = np.asarray(grid, dtype=float).ravel()
     basis = basis_matrix(coeffs.knots, pts).values
     positions = np.einsum("ipq,kq->kip", coeffs.coefficients, basis)
-    diff = positions[:, :, None, :] - positions[:, None, :, :]
-    np.multiply(diff, diff, out=diff)
-    fitted = np.sqrt(diff.sum(axis=-1))
+    n, p = positions.shape[1:]
+    # one grid point at a time, so no (points, n, n, p) difference tensor exists
+    fitted = np.empty((pts.size, n, n))
+    diff = np.empty((n, n, p))
+    for at, out in zip(positions, fitted):
+        np.subtract(at[:, None, :], at[None, :, :], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.sum(diff, axis=-1, out=out)
+        np.sqrt(out, out=out)
     return EmbeddingTrajectory(pts, positions, fitted)

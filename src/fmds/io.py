@@ -3,16 +3,20 @@
 Panels are wide CSV (header row of time labels, one row per object);
 dissimilarity tensors are long CSV with columns t,i,j,d over the upper
 triangle. Floats are written with 17 significant digits, and labels holding
-a comma, quote or line break, or starting with '#', are quoted, so a
-write/read round trip is exact. Lines starting with '#' outside a quoted
-cell are comments; writers use them to embed the producing manifest's hash.
+a comma, quote or line break, starting with '#' or with surrounding
+whitespace are quoted, so a write/read round trip is exact. Lines starting
+with '#' outside a quoted cell are comments; writers use them to embed the
+producing manifest's hash.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import warnings
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -20,23 +24,31 @@ from .dissimilarity import DissimilarityMatrix, DissimilarityTensor, ObjectPanel
 from .errors import IngestError
 
 _FLOAT = "{:.17g}"
+# one parsed t,i,j,d row, and the ids it may hold
+_TENSOR_ROW = np.dtype([("t", "f8"), ("i", "i8"), ("j", "i8"), ("d", "f8")])
+_INT64 = range(-(2**63), 2**63)
 
 
-def _records(path) -> list[tuple[int, list[str]]]:
-    """CSV records of a text file, each with the 1-based line it starts on.
+def _read_text(path) -> str:
+    try:
+        with open(path, newline="") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc}") from exc
+
+
+def _records(raw: str) -> list[tuple[int, list[str]]]:
+    """CSV records of a file's text, each with the 1-based line it starts on.
 
     Blank lines and lines starting with '#' are skipped between records;
     inside a quoted cell they belong to the cell, so a quoted label may hold
-    a line break or start with '#'. Cells are stripped of surrounding
-    whitespace.
+    a line break or start with '#'. Unquoted cells are stripped of
+    surrounding whitespace; quoted cells are kept as written.
     """
-    try:
-        with open(path, newline="") as handle:
-            raw = handle.read()
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
     # line number of the record the reader is inside; empty between records
     start: list[int] = []
+    # the lines of that record read so far
+    consumed: list[str] = []
 
     def lines():
         for lineno, line in enumerate(raw.splitlines(keepends=True), start=1):
@@ -45,16 +57,49 @@ def _records(path) -> list[tuple[int, list[str]]]:
                 if not stripped or stripped.startswith("#"):
                     continue
                 start.append(lineno)
+            consumed.append(line)
             yield line
 
+    records = []
     # the reader pulls lines only until its current record is complete
-    return [(start.pop(), [c.strip() for c in row]) for row in csv.reader(lines())]
+    for row in csv.reader(lines()):
+        text = "".join(consumed)
+        consumed.clear()
+        quoted = _quoted_cells(text) if '"' in text else ()
+        records.append((start.pop(),
+                        [c if k in quoted else c.strip() for k, c in enumerate(row)]))
+    return records
+
+
+def _quoted_cells(text: str) -> set[int]:
+    """Indices of the cells of one CSV record's text that open with a quote.
+
+    This follows the csv module's default dialect: a cell is quoted only if
+    a quote is its first character, a doubled quote inside it is literal,
+    and text after its closing quote runs on unquoted to the next comma.
+    """
+    quoted: set[int] = set()
+    pos = cell = 0
+    while True:
+        if text.startswith('"', pos):
+            quoted.add(cell)
+            close = text.find('"', pos + 1)
+            while close != -1 and text.startswith('"', close + 1):
+                close = text.find('"', close + 2)
+            if close == -1:
+                return quoted
+            pos = close + 1
+        comma = text.find(",", pos)
+        if comma == -1:
+            return quoted
+        pos, cell = comma + 1, cell + 1
 
 
 def _label_cell(label) -> str:
     """An object label as one CSV cell, quoted only when it must be."""
     text = str(label)
-    if any(ch in text for ch in ',"\r\n') or text.lstrip().startswith("#"):
+    if (any(ch in text for ch in ',"\r\n') or text.lstrip().startswith("#")
+            or text != text.strip()):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -66,7 +111,7 @@ def ingest_panel(path) -> ObjectPanel:
     are; otherwise the grid falls back to 1..m); the first column carries
     object labels; the body must be fully numeric with no missing cells.
     """
-    rows = _records(path)
+    rows = _records(_read_text(path))
     if len(rows) < 2:
         raise IngestError(f"{path}: need a header row and at least one object row")
     header_line, header = rows[0]
@@ -77,6 +122,8 @@ def ingest_panel(path) -> ObjectPanel:
 
     try:
         grid = np.array([float(lbl) for lbl in time_labels])
+        if not np.isfinite(grid).all():
+            raise IngestError(f"{path}:{header_line}: non-finite time label")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise IngestError(
                 f"{path}:{header_line}: numeric time labels must be strictly increasing"
@@ -103,12 +150,18 @@ def ingest_panel(path) -> ObjectPanel:
                     f"{path}:{lineno}: missing value at row {r + 2}, column {c + 2}"
                 )
             try:
-                values[r, c] = float(cell)
+                value = float(cell)
             except ValueError:
                 raise IngestError(
                     f"{path}:{lineno}: non-numeric value {cell!r} at row {r + 2}, "
                     f"column {c + 2}"
                 ) from None
+            if not math.isfinite(value):
+                raise IngestError(
+                    f"{path}:{lineno}: non-finite value {cell!r} at row {r + 2}, "
+                    f"column {c + 2}"
+                )
+            values[r, c] = value
     return ObjectPanel(tuple(labels), values, grid)
 
 
@@ -126,21 +179,118 @@ def ingest_tensor(path) -> DissimilarityTensor:
     """Read a long-CSV dissimilarity tensor (columns t,i,j,d).
 
     Rows may give either triangle; conflicting duplicates beyond 1e-10 are
-    rejected, as are negative values and incomplete pair coverage at any
-    time point. Object ids are arbitrary integers and are mapped to
-    0..n-1 in sorted order.
+    rejected, as are non-finite and negative values, nonzero self rows, ids
+    outside the int64 range and incomplete pair coverage at any time point.
+    Object ids are arbitrary integers and are mapped to 0..n-1 in sorted
+    order.
+
+    Every valid file is assembled from whole columns: one ``np.loadtxt``
+    call parses a plain file, and the csv reader tokenises one that loadtxt
+    refuses (quoted cells, ``\\r`` line ends, ``int`` spellings like ``1_0``).
+    Only a rejected file is read again line by line, to name the first
+    faulty line.
     """
-    rows = _records(path)
-    if not rows:
+    raw = _read_text(path)
+    columns = _loadtxt_columns(raw)
+    if columns is None:
+        columns = _record_columns(_records(raw))
+    tensor = None if columns is None else _assemble_tensor(*columns)
+    if tensor is None:
+        _raise_tensor_error(path, _records(raw))
+    return tensor
+
+
+def _is_tensor_header(cells) -> bool:
+    return [c.strip().lower() for c in cells] == ["t", "i", "j", "d"]
+
+
+def _loadtxt_columns(raw: str):
+    """The t, i, j, d columns of a file with one record per line, by one
+    ``np.loadtxt`` call, or None if loadtxt refuses the body or the header
+    line is not a plain t,i,j,d."""
+    lines = [line for line in raw.splitlines() if (rest := line.lstrip()) and rest[0] != "#"]
+    if len(lines) < 2 or not _is_tensor_header(lines[0].split(",")):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 parses an int cell such as 1.0 through float, with a warning
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(lines[1:], delimiter=",", comments=None, dtype=_TENSOR_ROW,
+                               ndmin=1)
+    except (ValueError, DeprecationWarning):
+        return None
+    return table["t"], table["i"], table["j"], table["d"]
+
+
+def _record_columns(records):
+    """The t, i, j, d columns of csv records, or None if a record is not a
+    well-formed row."""
+    if not records or not _is_tensor_header(records[0][1]):
+        return None
+    try:
+        rows = [(float(t), int(i), int(j), float(d)) for _, (t, i, j, d) in records[1:]]
+    except ValueError:  # a bad cell, or a record without exactly 4 cells
+        return None
+    if any(i not in _INT64 or j not in _INT64 for _, i, j, _ in rows):
+        return None
+    table = np.array(rows, dtype=_TENSOR_ROW)
+    return table["t"], table["i"], table["j"], table["d"]
+
+
+def _assemble_tensor(t, i, j, d) -> DissimilarityTensor | None:
+    """The tensor that parsed rows describe, or None if they are invalid.
+
+    A pair's value at a time point is its first row in file order; later
+    rows for that pair must agree with it within 1e-10.
+    """
+    if not (np.isfinite(t).all() and np.isfinite(d).all()) or (d < 0).any():
+        return None
+    self_row = i == j
+    if d[self_row].any():
+        return None
+    # the first occurrence of each time names it, so a -0.0 there stays -0.0
+    times, first = np.unique(t, return_index=True)
+    ids = np.unique(np.concatenate((i, j)))
+    m, n = times.size, ids.size
+    pairs = m * n * (n - 1) // 2
+    pair = ~self_row
+    count = np.count_nonzero(pair)
+    if count == 0 or count < pairs:
+        return None
+    # every key is below m·n² ≤ 4·count, so it cannot overflow int64
+    key = np.searchsorted(times, t[pair]) * n
+    key += np.searchsorted(ids, np.minimum(i[pair], j[pair]))
+    key *= n
+    key += np.searchsorted(ids, np.maximum(i[pair], j[pair]))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    value = d[pair][order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    if starts.size != pairs:
+        return None
+    head = value[starts]
+    if (np.abs(np.repeat(head, np.diff(starts, append=key.size)) - value) > 1e-10).any():
+        return None
+    k, a, b = np.unravel_index(key[starts], (m, n, n))
+    stacked = np.zeros((m, n, n))
+    stacked[k, a, b] = head
+    stacked[k, b, a] = head
+    return DissimilarityTensor(t[first], tuple(DissimilarityMatrix(s) for s in stacked))
+
+
+def _raise_tensor_error(path, records) -> NoReturn:
+    """Raise the IngestError for the first fault met reading the records
+    line by line, in file order, then coverage in time and id order."""
+    if not records:
         raise IngestError(f"{path}: empty file")
-    header_line, header = rows[0]
-    if [h.lower() for h in header] != ["t", "i", "j", "d"]:
+    header_line, header = records[0]
+    if not _is_tensor_header(header):
         raise IngestError(f"{path}:{header_line}: header must be t,i,j,d")
 
     entries: dict[tuple[float, int, int], float] = {}
     ids: set[int] = set()
     times: set[float] = set()
-    for lineno, cells in rows[1:]:
+    for lineno, cells in records[1:]:
         if len(cells) != 4:
             raise IngestError(f"{path}:{lineno}: expected 4 cells, found {len(cells)}")
         try:
@@ -150,6 +300,11 @@ def ingest_tensor(path) -> DissimilarityTensor:
             d = float(cells[3])
         except ValueError:
             raise IngestError(f"{path}:{lineno}: malformed row {cells!r}") from None
+        if i not in _INT64 or j not in _INT64:
+            raise IngestError(f"{path}:{lineno}: object id outside the int64 range in row "
+                              f"{cells!r}")
+        if not (math.isfinite(t) and math.isfinite(d)):
+            raise IngestError(f"{path}:{lineno}: non-finite value in row {cells!r}")
         if d < 0:
             raise IngestError(f"{path}:{lineno}: negative dissimilarity {d}")
         if i == j:
@@ -171,24 +326,12 @@ def ingest_tensor(path) -> DissimilarityTensor:
     if not entries:
         raise IngestError(f"{path}: no pair rows found")
     id_list = sorted(ids)
-    index = {obj: k for k, obj in enumerate(id_list)}
-    n = len(id_list)
-    grid = np.array(sorted(times))
-
-    slices = []
-    for t in grid:
-        mat = np.zeros((n, n))
-        for a in range(n):
-            for b in range(a + 1, n):
-                key = (t, id_list[a], id_list[b])
-                if key not in entries:
-                    raise IngestError(
-                        f"{path}: missing pair ({id_list[a]}, {id_list[b]}) at t={t}"
-                    )
-                mat[a, b] = entries[key]
-                mat[b, a] = entries[key]
-        slices.append(DissimilarityMatrix(mat))
-    return DissimilarityTensor(grid, tuple(slices))
+    for t in np.array(sorted(times)):
+        for a, low in enumerate(id_list):
+            for high in id_list[a + 1:]:
+                if (t, low, high) not in entries:
+                    raise IngestError(f"{path}: missing pair ({low}, {high}) at t={t}")
+    raise RuntimeError(f"{path}: the array check rejected a file the line scan accepts")
 
 
 def write_tensor(tensor: DissimilarityTensor, path, manifest_hash: str | None = None) -> None:
@@ -197,13 +340,12 @@ def write_tensor(tensor: DissimilarityTensor, path, manifest_hash: str | None = 
     if manifest_hash:
         lines.append(f"# manifest={manifest_hash}")
     lines.append("t,i,j,d")
+    rows, cols = np.triu_indices(tensor.n, 1)
+    ids = [f",{i + 1},{j + 1}," for i, j in zip(rows.tolist(), cols.tolist())]
     for t, slc in zip(tensor.time_grid, tensor.slices):
-        vals = slc.values
-        for i in range(tensor.n):
-            for j in range(i + 1, tensor.n):
-                lines.append(
-                    f"{_FLOAT.format(t)},{i + 1},{j + 1},{_FLOAT.format(vals[i, j])}"
-                )
+        time = _FLOAT.format(t)
+        lines.extend(time + pair + _FLOAT.format(v)
+                     for pair, v in zip(ids, slc.values[rows, cols].tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -33,13 +33,16 @@ def _indicator(knots: np.ndarray, l: int, t: float) -> float:
 def _recurse(knots: np.ndarray, l: int, order: int, t: float) -> float:
     if order == 1:
         return _indicator(knots, l, t)
+    # A term whose lower-order value is zero is zero, even where its ratio is
+    # 0/0 or, on a subnormal knot span, overflows to inf. A nonzero lower
+    # value puts t inside that function's support, so its span is positive.
     acc = 0.0
-    left_span = knots[l + order - 1] - knots[l]
-    if left_span != 0.0:
-        acc += (t - knots[l]) / left_span * _recurse(knots, l, order - 1, t)
-    right_span = knots[l + order] - knots[l + 1]
-    if right_span != 0.0:
-        acc += (knots[l + order] - t) / right_span * _recurse(knots, l + 1, order - 1, t)
+    lower = _recurse(knots, l, order - 1, t)
+    if lower != 0.0:
+        acc += (t - knots[l]) / (knots[l + order - 1] - knots[l]) * lower
+    lower = _recurse(knots, l + 1, order - 1, t)
+    if lower != 0.0:
+        acc += (knots[l + order] - t) / (knots[l + order] - knots[l + 1]) * lower
     return acc
 
 

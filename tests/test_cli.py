@@ -161,6 +161,15 @@ class TestFmdsCommand:
         assert _run("fmds", "--input", tmp_path / "absent.csv",
                     "--out", tmp_path / "f") == 3
 
+    def test_non_finite_input_exit(self, tmp_path):
+        tensor = tmp_path / "t.csv"
+        tensor.write_text("t,i,j,d\n1,1,2,nan\n")
+        assert _run("cmds", "--input", tensor, "--out", tmp_path / "c") == 3
+        panel = tmp_path / "p.csv"
+        panel.write_text("object,1,2,3\naa,1,inf,1\nbb,1,2,3\n")
+        assert _run("dissim", "--input", panel, "--format", "wide_csv",
+                    "--out", tmp_path / "d") == 3
+
     def test_divergence_exit(self, rotation_tensor, tmp_path):
         assert _run("fmds", "--input", rotation_tensor, "--knots", "2",
                     "--alpha", "10.0", "--baseline", "gd", "--init", "random",

@@ -467,6 +467,35 @@ class TestEvaluateTrajectories:
         with pytest.raises(OutOfDomain):
             evaluate_trajectories(cs, [0.0, 1.5])
 
+    @pytest.mark.parametrize("n, p", [(40, 2), (7, 3), (5, 9), (2, 1)])
+    def test_matches_whole_grid_expression(self, n, p):
+        rng = np.random.default_rng(n * 10 + p)
+        kv = make_knots((0.0, 1.0), (0.3, 0.6), order=4)
+        cs = CoefficientSet(rng.normal(size=(n, p, kv.num_basis)), kv)
+        grid = np.linspace(0.0, 1.0, 23)
+        traj = evaluate_trajectories(cs, grid)
+        # the former expression: one (points, n, n, p) difference tensor
+        diff = traj.positions[:, :, None, :] - traj.positions[:, None, :, :]
+        np.multiply(diff, diff, out=diff)
+        assert np.array_equal(traj.fitted_dissimilarities, np.sqrt(diff.sum(axis=-1)))
+
+    def test_peak_memory_is_the_result(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        kv = make_knots((0.0, 1.0), (0.5,), order=4)
+        cs = CoefficientSet(rng.normal(size=(100, 2, kv.num_basis)), kv)
+        grid = np.linspace(0.0, 1.0, 200)
+        tracemalloc.start()
+        try:
+            traj = evaluate_trajectories(cs, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = traj.positions.nbytes + traj.fitted_dissimilarities.nbytes
+        # the (points, n, n, p) difference tensor alone was twice the result
+        assert peak < 1.5 * returned
+
 
 class TestFitConfigValidation:
     @pytest.mark.parametrize(

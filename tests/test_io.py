@@ -1,6 +1,7 @@
 """Tests for file formats: panel/tensor ingestion, writers, SVG plots, manifests."""
 
 import csv
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -16,8 +17,11 @@ from fmds import (
     ObjectPanel,
     euclidean_dissimilarity,
 )
-from fmds import svgplot
+from fmds import SyntheticScenario, generate, svgplot
 from fmds.io import (
+    _FLOAT,
+    _read_text,
+    _records,
     ingest_panel,
     ingest_tensor,
     write_coordinates,
@@ -26,6 +30,11 @@ from fmds.io import (
     write_trajectories,
 )
 from fmds.manifest import RunManifest
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the differential ingest test needs hypothesis
+    st = None
 
 
 def _write(tmp_path, name, text):
@@ -106,8 +115,9 @@ class TestIngestPanel:
         npt.assert_array_equal(back.values, panel.values)
 
     def test_awkward_labels_round_trip_exactly(self, tmp_path):
-        labels = ("a\nb", "#x", 'q"uote', "c,d", "r\rs", "e\r\n\n#f", "plain")
-        panel = ObjectPanel(labels, np.arange(14.0).reshape(7, 2), np.array([0.5, 1.5]))
+        labels = ("a\nb", "#x", 'q"uote', "c,d", "r\rs", "e\r\n\n#f", "plain",
+                  " #y", "c ", "\td")
+        panel = ObjectPanel(labels, np.arange(20.0).reshape(10, 2), np.array([0.5, 1.5]))
         write_panel(panel, tmp_path / "rt.csv", manifest_hash="f00")
         back = ingest_panel(tmp_path / "rt.csv")
         assert back.labels == labels
@@ -121,6 +131,20 @@ class TestIngestPanel:
             ingest_panel(path)
         path = _write(tmp_path, "q.csv", 'object,1,2\n"a\nb",1,2\ncc,3\n')
         with pytest.raises(IngestError, match=r"q\.csv:4: expected 3 cells, found 2"):
+            ingest_panel(path)
+
+    def test_only_unquoted_cells_are_stripped(self, tmp_path):
+        path = _write(tmp_path, "p.csv", 'object,1\n  aa , 1 \n" bb ",2\n"c"c ,3\n')
+        assert ingest_panel(path).labels == ("aa", " bb ", "cc ")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_cited(self, tmp_path, cell):
+        path = _write(tmp_path, "p.csv", f"object,1,2\naa,1,2\n\nbb,3,{cell}\n")
+        message = f"p.csv:4: non-finite value '{cell}' at row 3, column 3"
+        with pytest.raises(IngestError, match=message):
+            ingest_panel(path)
+        path = _write(tmp_path, "q.csv", f"# c\nobject,1,{cell}\naa,1,2\n")
+        with pytest.raises(IngestError, match="q.csv:2: non-finite time label"):
             ingest_panel(path)
 
 
@@ -204,6 +228,53 @@ class TestIngestTensor:
         assert tensor.n == 3
         assert tensor.slices[0].values[0, 2] == 2.0
 
+    @pytest.mark.parametrize("row, message", [
+        ("2,1,2,nan", "4: non-finite value in row ['2', '1', '2', 'nan']"),
+        ("2,1,2,inf", "4: non-finite value in row ['2', '1', '2', 'inf']"),
+        ("nan,1,2,0.5", "4: non-finite value in row ['nan', '1', '2', '0.5']"),
+        ("2,1,9223372036854775808,0.5", "4: object id outside the int64 range in "
+         "row ['2', '1', '9223372036854775808', '0.5']"),
+        ("2,-9223372036854775809,1,0.5", "4: object id outside the int64 range in "
+         "row ['2', '-9223372036854775809', '1', '0.5']"),
+    ])
+    def test_non_finite_and_out_of_range_rows_cited(self, tmp_path, row, message):
+        path = _write(tmp_path, "t.csv", f"# c\nt,i,j,d\n1,1,2,0.5\n{row}\n")
+        with pytest.raises(IngestError) as info:
+            ingest_tensor(path)
+        assert str(info.value) == f"{path}:{message}"
+
+    def test_extreme_int64_ids_accepted(self, tmp_path):
+        low, high = -(2**63), 2**63 - 1
+        path = _write(tmp_path, "t.csv", f"t,i,j,d\n0,{high},{low},1.5\n")
+        tensor = ingest_tensor(path)
+        assert tensor.slices[0].values[0, 1] == 1.5
+
+    def test_first_spelling_of_a_signed_zero_time_names_it(self, tmp_path):
+        path = _write(tmp_path, "t.csv", "t,i,j,d\n-0,1,1,0\n0,1,2,0.5\n")
+        assert np.signbit(ingest_tensor(path).time_grid[0])
+
+    def test_quoted_and_crlf_files_read_like_plain_ones(self, tmp_path):
+        plain = ingest_tensor(_write(tmp_path, "a.csv", "t,i,j,d\n1,1,2,0.5\n1,2,3,1\n1,1,3,2\n"))
+        awkward = tmp_path / "b.csv"
+        awkward.write_bytes(b'"t", i ,j,"d"\r\n1,"1",2,0.5\r\n\r\n1,2,3,1\r\n1,1_0,3,2\r\n'
+                            b"1,1,3,2\r\n1,10,1,2\r\n1,10,2,2\r\n")
+        assert ingest_tensor(awkward).n == 4
+        awkward.write_bytes(b'"t", i ,j,"d"\r\n1,"1",2,0.5\r\n\r\n1,2,3,1\r\n1,1,3,2\r\n')
+        assert ingest_tensor(awkward).stacked().tobytes() == plain.stacked().tobytes()
+
+    def test_peak_memory(self, tmp_path):
+        _, tensor, _ = generate(SyntheticScenario("smooth_rotation", n=100, m=60, seed=5))
+        write_tensor(tensor, tmp_path / "t.csv", manifest_hash="abc")
+        tracemalloc.start()
+        try:
+            back = ingest_tensor(tmp_path / "t.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the line scan's per-row dict and tuples peaked at 161.5 MiB
+        assert peak < 120 * 2**20
+        assert back.stacked().tobytes() == tensor.stacked().tobytes()
+
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         grid = np.sort(rng.uniform(0.0, 5.0, 4))
@@ -216,6 +287,198 @@ class TestIngestTensor:
         npt.assert_array_equal(back.time_grid, tensor.time_grid)
         for a, b in zip(back.slices, tensor.slices):
             npt.assert_array_equal(a.values, b.values)
+
+
+def _double_loop_tensor_text(tensor, manifest_hash):
+    """The former write_tensor body: one formatted line per (t, i, j)."""
+    lines = []
+    if manifest_hash:
+        lines.append(f"# manifest={manifest_hash}")
+    lines.append("t,i,j,d")
+    for t, slc in zip(tensor.time_grid, tensor.slices):
+        vals = slc.values
+        for i in range(tensor.n):
+            for j in range(i + 1, tensor.n):
+                lines.append(f"{_FLOAT.format(t)},{i + 1},{j + 1},{_FLOAT.format(vals[i, j])}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [2, 3, 17])
+@pytest.mark.parametrize("manifest_hash", [None, "abc123"])
+def test_write_tensor_bytes_match_double_loop(tmp_path, n, manifest_hash):
+    rng = np.random.default_rng(n)
+    grid = np.array([-1.5, 0.0, 1e-300, 0.1, 7.0, 1e17])
+    slices = []
+    for scale in (0.0, 1e-310, 1e-20, 1.0, 3.3e5, 1e300):
+        vals = np.abs(rng.normal(size=(n, n))) * scale
+        np.fill_diagonal(vals, 0.0)
+        slices.append(DissimilarityMatrix((vals + vals.T) / 2))
+    tensor = DissimilarityTensor(grid, tuple(slices))
+    write_tensor(tensor, tmp_path / "new.csv", manifest_hash=manifest_hash)
+    (tmp_path / "old.csv").write_text(_double_loop_tensor_text(tensor, manifest_hash))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _line_scan_tensor(path):
+    """The former ingest_tensor: a dict of first values filled row by row,
+    then one Python double loop per time point (the differential reference)."""
+    rows = _records(_read_text(path))
+    if not rows:
+        raise IngestError(f"{path}: empty file")
+    header_line, header = rows[0]
+    if [h.strip().lower() for h in header] != ["t", "i", "j", "d"]:
+        raise IngestError(f"{path}:{header_line}: header must be t,i,j,d")
+
+    entries = {}
+    ids = set()
+    times = set()
+    for lineno, cells in rows[1:]:
+        if len(cells) != 4:
+            raise IngestError(f"{path}:{lineno}: expected 4 cells, found {len(cells)}")
+        try:
+            t = float(cells[0])
+            i = int(cells[1])
+            j = int(cells[2])
+            d = float(cells[3])
+        except ValueError:
+            raise IngestError(f"{path}:{lineno}: malformed row {cells!r}") from None
+        if d < 0:
+            raise IngestError(f"{path}:{lineno}: negative dissimilarity {d}")
+        if i == j:
+            if d != 0.0:
+                raise IngestError(f"{path}:{lineno}: nonzero self-dissimilarity for object {i}")
+            ids.add(i)
+            times.add(t)
+            continue
+        key = (t, min(i, j), max(i, j))
+        if key in entries and abs(entries[key] - d) > 1e-10:
+            raise IngestError(
+                f"{path}:{lineno}: conflicting values for pair ({key[1]}, {key[2]}) "
+                f"at t={t}: {entries[key]} vs {d}"
+            )
+        entries.setdefault(key, d)
+        ids.update((i, j))
+        times.add(t)
+
+    if not entries:
+        raise IngestError(f"{path}: no pair rows found")
+    id_list = sorted(ids)
+    n = len(id_list)
+    grid = np.array(sorted(times))
+
+    slices = []
+    for t in grid:
+        mat = np.zeros((n, n))
+        for a in range(n):
+            for b in range(a + 1, n):
+                key = (t, id_list[a], id_list[b])
+                if key not in entries:
+                    raise IngestError(
+                        f"{path}: missing pair ({id_list[a]}, {id_list[b]}) at t={t}"
+                    )
+                mat[a, b] = entries[key]
+                mat[b, a] = entries[key]
+        slices.append(DissimilarityMatrix(mat))
+    return DissimilarityTensor(grid, tuple(slices))
+
+
+def _ingest_outcome(reader, path):
+    try:
+        tensor = reader(path)
+    except IngestError as exc:
+        return str(exc)
+    return tensor.time_grid.tobytes(), tensor.stacked().tobytes()
+
+
+_FAULTS = ("none", "negative", "conflict", "missing", "self", "cells", "float_id",
+           "underscore_id", "hash", "quoted", "crlf")
+
+
+def _number(rnd, value):
+    if value == 0.0 and rnd.random() < 0.5:
+        return "-0"
+    return rnd.choice([repr, _FLOAT.format])(value)
+
+
+def _underscored(cell):
+    sign = "-" if cell.startswith("-") else ""
+    digits = cell.lstrip("-")
+    return sign + (digits[0] + "_" + digits[1:] if len(digits) > 1 else "0_" + digits)
+
+
+def _tensor_text(draw):
+    """A valid t,i,j,d file, then at most one fault, with the fault's name."""
+    rnd = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(2, 5), label="n")
+    ids = draw(st.lists(st.integers(-60, 10**6), min_size=n, max_size=n, unique=True))
+    times = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3, unique=True))
+    rows = []
+    for t in times:
+        for a in range(n):
+            for b in range(a + 1, n):
+                i, j = rnd.sample((ids[a], ids[b]), 2)
+                d = rnd.choice([0.0, rnd.uniform(0.0, 10.0), rnd.uniform(0.0, 1e6)])
+                rows.append([_number(rnd, t), str(i), str(j), _number(rnd, d)])
+                if rnd.random() < 0.2:  # a duplicate within 1e-10, either triangle
+                    near = d + rnd.uniform(0.0, 5e-11)
+                    rows.append([_number(rnd, t), str(j), str(i), _number(rnd, near)])
+        for obj in rnd.sample(ids, rnd.randint(0, 2)):
+            rows.append([_number(rnd, t), str(obj), str(obj), _number(rnd, 0.0)])
+    rnd.shuffle(rows)
+
+    fault = draw(st.sampled_from(_FAULTS), label="fault")
+    k = rnd.randrange(len(rows))
+    row = rows[k]
+    quoted = -1
+    if fault == "negative":
+        row[3] = "-0.5"
+    elif fault == "conflict":
+        rows.insert(rnd.randint(0, len(rows)), row[:3] + [repr(float(row[3]) + 1e-3)])
+    elif fault == "missing":
+        pair = rnd.choice([r for r in rows if r[1] != r[2]])
+        key = (float(pair[0]), {pair[1], pair[2]})
+        rows = [r for r in rows if (float(r[0]), {r[1], r[2]}) != key]
+        rows.append([pair[0], pair[1], pair[1], "0"])  # keeps the time point and both ids
+        rows.append([pair[0], pair[2], pair[2], "0"])
+    elif fault == "self":
+        rows.insert(rnd.randint(0, len(rows)), [row[0], row[1], row[1], "0.5"])
+    elif fault == "cells":
+        row.append("1") if rnd.random() < 0.5 else row.pop()
+    elif fault == "float_id":
+        row[1] = row[1] + ".0"
+    elif fault == "underscore_id":
+        row[2] = _underscored(row[2])
+    elif fault == "hash":
+        row[3] = row[3] + " # note"
+    elif fault == "quoted":
+        quoted = rnd.randrange(4)
+
+    def line(r):
+        cells = [rnd.choice(["", " ", "\t"]) + c + rnd.choice(["", "  "]) for c in r]
+        if r is row and quoted >= 0:
+            cells[quoted] = '"' + cells[quoted] + '"'
+        return ",".join(cells)
+
+    lead = rnd.sample(["", "# manifest=abc", "  ", "#x,y"], rnd.randint(0, 3))
+    lines = lead + ["t,i,j,d"] + [line(r) for r in rows]
+    end = "\r\n" if fault == "crlf" else "\n"
+    return end.join(lines) + end, fault
+
+
+if st is not None:
+    @settings(deadline=None, max_examples=400)
+    @given(data=st.data())
+    def test_ingest_tensor_matches_line_scan(tmp_path_factory, data):
+        text, fault = _tensor_text(data.draw)
+        path = tmp_path_factory.mktemp("diff") / "t.csv"
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+        expected = _ingest_outcome(_line_scan_tensor, path)
+        assert _ingest_outcome(ingest_tensor, path) == expected
+        if fault in ("none", "quoted", "crlf"):
+            assert not isinstance(expected, str)
+        elif fault in ("negative", "conflict", "missing", "self", "cells", "float_id", "hash"):
+            assert isinstance(expected, str)
 
 
 class TestRunManifest:

@@ -1,6 +1,8 @@
 """Cross-checks between the fast implementations and the brute-force
 references, plus synthetic generator contracts."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -73,6 +75,14 @@ class TestNaiveBspline:
         kv = make_knots((-1.0, 2.0), (0.0, 1.0), order=3)
         npt.assert_allclose(naive_bspline(kv, 2.0)[-1], 1.0, atol=1e-15)
         assert naive_bspline(kv, 2.0)[:-1].max() <= 1e-15
+
+    def test_subnormal_knot_span(self):
+        # (t - knot) / 5e-324 overflows to inf; the term it scales is zero
+        kv = make_knots((0.0, 1.0), (5e-324, 0.5), order=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for t in (0.0, 5e-324, 0.25, 0.5, 1.0):
+                npt.assert_array_equal(naive_bspline(kv, t), eval_basis(kv, t))
 
 
 class TestNaiveStressAndGrad:
