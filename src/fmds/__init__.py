@@ -47,7 +47,6 @@ from .errors import (
     WindowTooLong,
 )
 from .fitting import (
-    AdamState,
     CoefficientSet,
     EmbeddingTrajectory,
     FitConfig,
@@ -66,7 +65,6 @@ from .synthetic import SyntheticScenario, generate
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState",
     "BasisMatrix",
     "CmdsSolution",
     "CoefficientSet",

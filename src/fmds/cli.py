@@ -22,6 +22,7 @@ from . import io, svgplot
 from .bspline import eval_basis, make_knots
 from .cmds import classical_mds, reconstructed_dissimilarity
 from .dissimilarity import (
+    DissimilarityMatrix,
     DissimilarityTensor,
     euclidean_dissimilarity,
     rolling_dissimilarity_tensor,
@@ -181,7 +182,8 @@ def run_cmds_command(manifest: RunManifest) -> int:
     digest = manifest.sha256()
     comments = _svg_comments(manifest)
 
-    solutions = [classical_mds(matrix, manifest.dim) for matrix in tensor.slices]
+    solutions = [classical_mds(DissimilarityMatrix(values), manifest.dim)
+                 for values in tensor.values]
 
     slice_summaries = []
     for k, solution in enumerate(solutions):
@@ -224,7 +226,7 @@ def run_fmds_command(manifest: RunManifest) -> int:
     if span <= 0:
         raise ConfigError("fitting needs at least two distinct time points")
     unit_grid = (tensor.time_grid - origin) / span
-    unit_tensor = DissimilarityTensor(unit_grid, tensor.slices)
+    unit_tensor = DissimilarityTensor(unit_grid, tensor.values)
 
     result = fit(unit_tensor, manifest.fit_config())
 
@@ -350,9 +352,10 @@ def _random_instance(rng: np.random.Generator):
     p = int(rng.integers(1, 3))
     kv = make_knots((0.0, 1.0), [0.5], order=3)
     grid = np.linspace(0.0, 1.0, m)
-    slices = tuple(euclidean_dissimilarity(rng.normal(size=(n, max(p, 2))))
-                   for _ in range(m))
-    tensor = DissimilarityTensor(grid, slices)
+    values = np.empty((m, n, n))
+    for out in values:
+        out[...] = euclidean_dissimilarity(rng.normal(size=(n, max(p, 2)))).values
+    tensor = DissimilarityTensor(grid, values)
     coeffs = rng.normal(size=(n, p, kv.num_basis)) * 0.5
     return tensor, coeffs, kv
 

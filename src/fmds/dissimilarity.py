@@ -37,35 +37,37 @@ class DissimilarityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class DissimilarityTensor:
-    """A sequence of same-sized dissimilarity matrices over a time grid."""
+    """One (num_times, n, n) array of dissimilarity matrices, ``values[k]`` at
+    ``time_grid[k]``. A float64 array is kept as given, not copied."""
 
     time_grid: np.ndarray
-    slices: tuple[DissimilarityMatrix, ...]
+    values: np.ndarray
 
     def __post_init__(self):
         grid = np.asarray(self.time_grid, dtype=float).ravel()
-        slices = tuple(self.slices)
-        if grid.size != len(slices) or grid.size == 0:
+        vals = np.asarray(self.values, dtype=float)
+        if vals.ndim != 3 or vals.shape[1] != vals.shape[2]:
+            raise ShapeError(f"tensor must be (num_times, n, n), got shape {vals.shape}")
+        if grid.size != vals.shape[0] or grid.size == 0:
             raise ShapeError("one matrix per time point required")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise ShapeError("time grid must be strictly increasing")
-        sizes = {s.n for s in slices}
-        if len(sizes) != 1:
-            raise ShapeError(f"slices disagree on object count: {sorted(sizes)}")
+        if not np.all(np.isfinite(vals)):
+            raise ShapeError("dissimilarity tensor contains non-finite entries")
         object.__setattr__(self, "time_grid", grid)
-        object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "values", vals)
 
     @property
     def n(self) -> int:
-        return self.slices[0].n
+        return self.values.shape[1]
 
     @property
     def num_times(self) -> int:
         return self.time_grid.size
 
     def stacked(self) -> np.ndarray:
-        """All slices as one (num_times, n, n) array."""
-        return np.stack([s.values for s in self.slices])
+        """The (num_times, n, n) array itself, not a copy."""
+        return self.values
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,17 +235,15 @@ def rolling_dissimilarity_tensor(
     if window_len < 1 or (metric == "correlation" and window_len < 2):
         raise ConfigError(f"window of {window_len} too short for metric {metric!r}")
 
-    stamps = []
-    slices = []
-    for start in range(0, m - window_len + 1, stride):
-        stop = start + window_len
+    stops = range(window_len, m + 1, stride)
+    values = np.empty((len(stops), panel.n, panel.n))
+    for stop, out in zip(stops, values):
+        start = stop - window_len
         if metric == "euclidean":
-            slc = euclidean_dissimilarity(panel.values[:, start:stop])
+            out[...] = euclidean_dissimilarity(panel.values[:, start:stop]).values
         else:
-            slc = correlation_dissimilarity(panel, (start, stop))
-        stamps.append(panel.time_grid[stop - 1])
-        slices.append(slc)
-    return DissimilarityTensor(np.asarray(stamps), tuple(slices))
+            out[...] = correlation_dissimilarity(panel, (start, stop)).values
+    return DissimilarityTensor(panel.time_grid[window_len - 1::stride], values)
 
 
 def validate(matrix: DissimilarityMatrix, tol: float = 1e-10) -> ValidityReport:

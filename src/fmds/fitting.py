@@ -23,7 +23,7 @@ import numpy as np
 
 from .bspline import KnotVector, basis_matrix, make_knots, _solve_least_squares
 from .cmds import classical_mds
-from .dissimilarity import DissimilarityTensor
+from .dissimilarity import DissimilarityMatrix, DissimilarityTensor
 from .errors import (
     ConfigError,
     DivergedError,
@@ -38,6 +38,9 @@ from .errors import (
 STRESS_OVERFLOW = 1e30
 
 CUBIC_ORDER = 4
+
+# Adam's shift of the denominator sqrt(v_hat) away from zero
+_DENOM_SHIFT = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,64 +117,6 @@ class FitConfig:
             raise ConfigError(f"unknown baseline {self.baseline!r}")
 
 
-@dataclass
-class AdamState:
-    """Per-object first/second moment estimates and update counters.
-
-    Moments persist across epochs; each object's bias-correction exponent
-    is its own count of updates received so far.
-    """
-
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-    step_counts: np.ndarray
-    alpha: float = FitConfig.alpha
-    gamma1: float = FitConfig.gamma1
-    gamma2: float = FitConfig.gamma2
-    denom_shift: float = 1e-8
-
-    @classmethod
-    def zeros(cls, n: int, p: int, q: int, *, alpha: float = FitConfig.alpha,
-              gamma1: float = FitConfig.gamma1, gamma2: float = FitConfig.gamma2,
-              denom_shift: float = 1e-8) -> "AdamState":
-        return cls(
-            first_moment=np.zeros((n, p, q)),
-            second_moment=np.zeros((n, p, q)),
-            step_counts=np.zeros(n, dtype=np.int64),
-            alpha=alpha,
-            gamma1=gamma1,
-            gamma2=gamma2,
-            denom_shift=denom_shift,
-        )
-
-    def step(self, index: int, gradient: np.ndarray) -> np.ndarray:
-        """Absorb one gradient for an object and return its parameter increment.
-
-        At the first update the bias corrections cancel and the increment is
-        -alpha * g / (|g| + shift) elementwise.
-        """
-        g = np.asarray(gradient, dtype=float)
-        moments = np.stack((self.first_moment[index], self.second_moment[index]))
-        self.step_counts[index] += 1
-        correction = _bias_corrections(self.gamma1, self.gamma2, [int(self.step_counts[index])])
-        rates = np.array((self.gamma1, self.gamma2)).reshape(2, 1, 1)
-        increment = np.empty_like(moments[0])
-        _adam_update(moments, np.stack((g, g * g)), rates, 1.0 - rates, correction[0],
-                     np.array(-self.alpha), np.array(self.denom_shift),
-                     np.empty_like(moments), increment)
-        self.first_moment[index], self.second_moment[index] = moments
-        return increment
-
-
-def _bias_corrections(gamma1: float, gamma2: float, counts) -> np.ndarray:
-    """Adam's bias-correction divisors (1 - gamma1**t, 1 - gamma2**t) per step count t.
-
-    Shape (len(counts), 2, 1, 1). The powers are Python's ``**`` on floats,
-    so a table built for many counts matches a single step bit for bit.
-    """
-    return np.array([(1.0 - gamma1 ** t, 1.0 - gamma2 ** t) for t in counts]).reshape(-1, 2, 1, 1)
-
-
 def _adam_update(moments, grads, decay, gain, correction, neg_alpha, shift, scratch, out) -> None:
     """One Adam step on stacked moments, in place; the increment goes to ``out``.
 
@@ -234,27 +179,34 @@ def _fit_knots(grid: np.ndarray, interior_count: int) -> KnotVector:
 # objective and gradients
 
 
-def _stress_value(coeffs: np.ndarray, dsq: np.ndarray, basis: np.ndarray) -> float:
-    """Squared stress of raw coefficient arrays against squared dissimilarities.
+def _squared_targets(values: np.ndarray) -> np.ndarray:
+    """Squared dissimilarities of the pairs h < j as one (pairs, times) array,
+    in ``triu_indices`` order: row h's pairs start at row h * (2n - h - 1) / 2."""
+    h, j = np.triu_indices(values.shape[1], 1)
+    dsq = values.transpose(1, 2, 0)[h, j]
+    return np.square(dsq, out=dsq)
 
-    Only the pairs h < j are formed, as one row-major (pairs, times) residual
-    array, so the final sum runs in the same order as a sum over the upper
-    triangle of the full pairwise residual tensor.
-    """
+
+def _pair_differences(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Position differences x_h - x_j of the pairs h < j, shape (pairs, times, p)."""
     h, j = np.triu_indices(coeffs.shape[0], 1)
     pos = np.einsum("ipq,kq->ikp", coeffs, basis)
     diff = pos[h]
     np.subtract(diff, pos[j], out=diff)
+    return diff
+
+
+def _stress_value(coeffs: np.ndarray, dsq: np.ndarray, basis: np.ndarray) -> float:
+    """Squared stress of raw coefficient arrays against ``_squared_targets``.
+
+    The residuals form one row-major (pairs, times) array, so the final sum
+    runs in the same order as a sum over the upper triangle of the full
+    pairwise residual tensor.
+    """
+    diff = _pair_differences(coeffs, basis)
     np.multiply(diff, diff, out=diff)
     resid = diff.sum(axis=-1)
-    np.subtract(dsq[:, h, j].T, resid, out=resid)
-    return float((resid * resid).sum())
-
-
-def _pair_value(c_h: np.ndarray, c_j: np.ndarray, dsq_pair: np.ndarray,
-                basis: np.ndarray) -> float:
-    u = (c_h - c_j) @ basis.T
-    resid = dsq_pair - (u * u).sum(axis=0)
+    np.subtract(dsq, resid, out=resid)
     return float((resid * resid).sum())
 
 
@@ -270,20 +222,27 @@ def _pair_grad(c_h: np.ndarray, c_j: np.ndarray, dsq_pair: np.ndarray,
 
 
 def _full_gradients(coeffs: np.ndarray, dsq: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Gradient of the full objective with respect to every coefficient matrix."""
-    pos = np.einsum("ipq,kq->ikp", coeffs, basis)
-    diff = pos[:, None] - pos[None, :]
-    embedded_sq = (diff * diff).sum(axis=-1)
-    resid = np.moveaxis(dsq, 0, 2) - embedded_sq
-    # diagonal terms contribute nothing: resid and diff both vanish there
-    return -4.0 * np.einsum("hjk,hjkp,kq->hpq", resid, diff, basis)
+    """Gradient of the full objective with respect to every coefficient matrix.
+
+    Each pair's term -4 r (x_h - x_j) goes to h and, negated, to j.
+    """
+    diff = _pair_differences(coeffs, basis)
+    diff *= (dsq - (diff * diff).sum(axis=-1))[..., None]
+    h, j = np.triu_indices(coeffs.shape[0], 1)
+    force = np.zeros((coeffs.shape[0],) + diff.shape[1:])
+    np.add.at(force, h, diff)
+    np.subtract.at(force, j, diff)
+    return -4.0 * np.einsum("ikp,kq->ipq", force, basis)
 
 
-def _check_pair(coeffs_n: int, h: int, j: int) -> None:
+def _pair_targets(tensor: DissimilarityTensor, h: int, j: int,
+                  knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
+    """The basis on the tensor's grid and the squared targets of pair (h, j)."""
     if h == j:
         raise ShapeError("pair indices must differ")
-    if not (0 <= h < coeffs_n and 0 <= j < coeffs_n):
-        raise ShapeError(f"pair ({h}, {j}) outside object range [0, {coeffs_n})")
+    if not (0 <= h < tensor.n and 0 <= j < tensor.n):
+        raise ShapeError(f"pair ({h}, {j}) outside object range [0, {tensor.n})")
+    return basis_matrix(knots, tensor.time_grid).values, tensor.values[:, h, j] ** 2
 
 
 def stress(coeffs: CoefficientSet, tensor: DissimilarityTensor) -> float:
@@ -295,7 +254,7 @@ def stress(coeffs: CoefficientSet, tensor: DissimilarityTensor) -> float:
     if tensor.n != coeffs.n:
         raise ShapeError(f"tensor has {tensor.n} objects but coefficients have {coeffs.n}")
     basis = basis_matrix(coeffs.knots, tensor.time_grid).values
-    return _stress_value(coeffs.coefficients, tensor.stacked() ** 2, basis)
+    return _stress_value(coeffs.coefficients, _squared_targets(tensor.values), basis)
 
 
 def pair_stress(c_h, c_j, tensor: DissimilarityTensor, h: int, j: int,
@@ -304,10 +263,8 @@ def pair_stress(c_h, c_j, tensor: DissimilarityTensor, h: int, j: int,
 
     Summing over all pairs h < j recovers the full objective.
     """
-    _check_pair(tensor.n, h, j)
-    basis = basis_matrix(knots, tensor.time_grid).values
-    dsq_pair = tensor.stacked()[:, h, j] ** 2
-    return _pair_value(np.asarray(c_h, float), np.asarray(c_j, float), dsq_pair, basis)
+    basis, dsq_pair = _pair_targets(tensor, h, j, knots)
+    return _stress_value(np.array((c_h, c_j), dtype=float), dsq_pair[None], basis)
 
 
 def pair_gradients(c_h, c_j, tensor: DissimilarityTensor, h: int, j: int,
@@ -318,9 +275,7 @@ def pair_gradients(c_h, c_j, tensor: DissimilarityTensor, h: int, j: int,
     since the objective depends on the matrices only through their
     difference.
     """
-    _check_pair(tensor.n, h, j)
-    basis = basis_matrix(knots, tensor.time_grid).values
-    dsq_pair = tensor.stacked()[:, h, j] ** 2
+    basis, dsq_pair = _pair_targets(tensor, h, j, knots)
     g_h = _pair_grad(np.asarray(c_h, float), np.asarray(c_j, float), dsq_pair, basis)
     return g_h, -g_h
 
@@ -370,10 +325,9 @@ def init_from_cmds(tensor: DissimilarityTensor, config: FitConfig) -> Coefficien
     m, n, p = tensor.num_times, tensor.n, config.p
 
     aligned = np.empty((m, n, p))
-    aligned[0] = classical_mds(tensor.slices[0], p).configuration
-    for k in range(1, m):
-        embedded = classical_mds(tensor.slices[k], p).configuration
-        aligned[k] = embedded @ _procrustes_rotation(embedded, aligned[k - 1])
+    for k, values in enumerate(tensor.values):
+        embedded = classical_mds(DissimilarityMatrix(values), p).configuration
+        aligned[k] = embedded @ _procrustes_rotation(embedded, aligned[k - 1]) if k else embedded
 
     basis = basis_matrix(knots, tensor.time_grid)
     solution = _solve_least_squares(basis.values, aligned.reshape(m, n * p))
@@ -384,7 +338,7 @@ def _random_coefficients(tensor: DissimilarityTensor, config: FitConfig,
                          rng: np.random.Generator, q: int) -> np.ndarray:
     """Uniform coefficients on [-0.5, 0.5] scaled by the mean dissimilarity."""
     iu = np.triu_indices(tensor.n, 1)
-    scale = float(np.mean([s.values[iu].mean() for s in tensor.slices]))
+    scale = float(np.mean([s[iu].mean() for s in tensor.values]))
     if scale == 0.0:
         scale = 1.0
     return rng.uniform(-0.5, 0.5, size=(tensor.n, config.p, q)) * scale
@@ -407,10 +361,10 @@ class _PairwiseAdam:
     """Moments, counters and scratch buffers of the pairwise Adam epoch.
 
     ``epoch`` gives bit for bit the results of calling ``_pair_grad`` and
-    then ``AdamState.step`` for h and for j at every pair, in order. The
-    j-side steps (gradient -g) of a row are kept and applied as one batch
-    at the end of the row, as ``fit`` explains; each element still goes
-    through the same arithmetic as in the reference, in fewer numpy calls.
+    then ``reference.AdamState.step`` for h and for j at every pair, in
+    order. The j-side steps (gradient -g) of a row are kept and applied as
+    one batch at the end of the row, as ``fit`` explains; each element still
+    goes through the same arithmetic as in the reference, in fewer numpy calls.
     """
 
     def __init__(self, n: int, p: int, q: int, basis: np.ndarray, alpha: float,
@@ -425,13 +379,14 @@ class _PairwiseAdam:
         self.gain = 1.0 - self.decay
         self.gain_j = self.gain * np.array((-1.0, 1.0)).reshape(2, 1, 1)
         self.neg_alpha = np.array(-alpha)
-        self.shift = np.array(AdamState.denom_shift)
+        self.shift = np.array(_DENOM_SHIFT)
         self.grads = np.empty((n - 1, 2, p, q))
         self.scratch = np.empty((n - 1, 2, p, q))
         self.increments = np.empty((n - 1, p, q))
 
     def epoch(self, coeffs: np.ndarray, dsq: np.ndarray, rows) -> None:
-        """Run one epoch over the rows h in the given order, updating ``coeffs`` in place."""
+        """Run one epoch over the rows h in the given order, updating ``coeffs``
+        in place; ``dsq`` holds the ``_squared_targets``."""
         n, _, p, q = self.moments.shape
         m = self.basis.shape[0]
         basis = self.basis
@@ -453,15 +408,18 @@ class _PairwiseAdam:
         # every object gets n - 1 steps per epoch, so all counts are equal at
         # its start and run from base + 1 to base + n - 1 within it
         base = int(self.step_counts[0])
-        table = _bias_corrections(*self.gammas, range(base + 1, base + n))
-        table = np.ascontiguousarray(np.broadcast_to(table, (n - 1, 2, p, q)))
+        # bias-correction divisors with Python's ``**`` on floats, as in a single step
+        g1, g2 = self.gammas
+        table = np.array([(1.0 - g1 ** t, 1.0 - g2 ** t) for t in range(base + 1, base + n)])
+        table = np.ascontiguousarray(np.broadcast_to(table[:, :, None, None], (n - 1, 2, p, q)))
         corrections = list(table)
 
         for h in rows:
             h = int(h)
             width = n - 1 - h
             c_h, moments_h = coeff_rows[h], self.moments[h]
-            targets = np.ascontiguousarray(dsq[:, h, h + 1:].T)
+            first = h * (2 * n - h - 1) // 2
+            targets = dsq[first:first + width]
             t = int(self.step_counts[h]) - base
             for c_j, target, (g, g_sq), grads, correction in zip(
                     coeff_rows[h + 1:], targets, grad_rows, grad_pairs, corrections[t:]):
@@ -516,7 +474,7 @@ def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
     knots, q = _resolve_layout(tensor, config)
     n = tensor.n
     basis = basis_matrix(knots, tensor.time_grid).values
-    dsq = tensor.stacked() ** 2
+    dsq = _squared_targets(tensor.values)
 
     rng = np.random.default_rng(config.rng_seed)
     if config.init_mode == "cmds_warm":
@@ -525,9 +483,8 @@ def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
         coeffs = _random_coefficients(tensor, config, rng, q)
 
     initial_stress = _stress_value(coeffs, dsq, basis)
-    h, j = np.triu_indices(n, 1)
     # the stress with every object at one point: the data's own scale of stress
-    collapsed = float((dsq[:, h, j] ** 2).sum())
+    collapsed = float((dsq * dsq).sum())
     overflow = STRESS_OVERFLOW * max(1.0, collapsed)
     adam = _PairwiseAdam(n, config.p, q, basis, config.alpha, config.gamma1, config.gamma2)
 

@@ -20,7 +20,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .dissimilarity import DissimilarityMatrix, DissimilarityTensor, ObjectPanel
+from .dissimilarity import DissimilarityTensor, ObjectPanel
 from .errors import IngestError
 
 _FLOAT = "{:.17g}"
@@ -272,10 +272,10 @@ def _assemble_tensor(t, i, j, d) -> DissimilarityTensor | None:
     if (np.abs(np.repeat(head, np.diff(starts, append=key.size)) - value) > 1e-10).any():
         return None
     k, a, b = np.unravel_index(key[starts], (m, n, n))
-    stacked = np.zeros((m, n, n))
-    stacked[k, a, b] = head
-    stacked[k, b, a] = head
-    return DissimilarityTensor(t[first], tuple(DissimilarityMatrix(s) for s in stacked))
+    values = np.zeros((m, n, n))
+    values[k, a, b] = head
+    values[k, b, a] = head
+    return DissimilarityTensor(t[first], values)
 
 
 def _raise_tensor_error(path, records) -> NoReturn:
@@ -342,10 +342,10 @@ def write_tensor(tensor: DissimilarityTensor, path, manifest_hash: str | None = 
     lines.append("t,i,j,d")
     rows, cols = np.triu_indices(tensor.n, 1)
     ids = [f",{i + 1},{j + 1}," for i, j in zip(rows.tolist(), cols.tolist())]
-    for t, slc in zip(tensor.time_grid, tensor.slices):
+    for t, slc in zip(tensor.time_grid, tensor.values):
         time = _FLOAT.format(t)
         lines.extend(time + pair + _FLOAT.format(v)
-                     for pair, v in zip(ids, slc.values[rows, cols].tolist()))
+                     for pair, v in zip(ids, slc[rows, cols].tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

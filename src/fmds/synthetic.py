@@ -93,10 +93,10 @@ def generate(
     if scenario.noise_sd > 0:
         observed = truth + rng.normal(scale=scenario.noise_sd, size=truth.shape)
 
-    slices = tuple(
-        euclidean_dissimilarity(observed[:, k, :]) for k in range(scenario.m)
-    )
-    tensor = DissimilarityTensor(grid, slices)
+    values = np.empty((scenario.m, scenario.n, scenario.n))
+    for k, out in enumerate(values):
+        out[...] = euclidean_dissimilarity(observed[:, k, :]).values
+    tensor = DissimilarityTensor(grid, values)
 
     if scenario.p_true == 1:
         labels = tuple(f"o{i + 1}" for i in range(scenario.n))

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from fmds import (
-    AdamState,
     CoefficientSet,
     DissimilarityTensor,
     FitConfig,
@@ -33,6 +32,7 @@ from fmds import (
     stress,
 )
 from fmds.cli import main as cli_main
+from fmds.reference import AdamState
 
 
 def _criterion(num: int, passed: bool, detail: str) -> None:
@@ -57,11 +57,11 @@ def _random_instance(rng):
     interior = int(rng.integers(0, 3))  # q = 4 + interior <= 6
     kv = make_knots((0.0, 1.0), np.linspace(0, 1, interior + 2)[1:-1], order=4)
     grid = np.linspace(0.0, 1.0, m)
-    slices = tuple(
-        euclidean_dissimilarity(rng.uniform(size=(n, max(p, 2)))) for _ in range(m)
+    values = np.stack(
+        [euclidean_dissimilarity(rng.uniform(size=(n, max(p, 2)))).values for _ in range(m)]
     )
     coeffs = rng.normal(size=(n, p, kv.num_basis)) * 0.5
-    return DissimilarityTensor(grid, slices), coeffs, kv
+    return DissimilarityTensor(grid, values), coeffs, kv
 
 
 def test_criterion_01_partition_of_unity():

@@ -8,15 +8,19 @@ from fmds import (
     ConfigError,
     DegenerateSeries,
     DissimilarityMatrix,
+    DissimilarityTensor,
     ObjectPanel,
     ShapeError,
+    SyntheticScenario,
     WindowTooLong,
     correlation,
     correlation_dissimilarity,
     euclidean_dissimilarity,
+    generate,
     rolling_dissimilarity_tensor,
     validate,
 )
+from fmds.io import ingest_tensor, write_tensor
 
 
 def _panel(values, grid=None):
@@ -123,6 +127,48 @@ class TestCorrelationDissimilarity:
             correlation_dissimilarity(panel, (0, 1))
 
 
+class TestTensorArray:
+    @pytest.mark.parametrize(
+        "grid, values",
+        [
+            ([0.0, 1.0], np.zeros((2, 3))),
+            ([0.0, 1.0], np.zeros((2, 3, 4))),
+            ([0.0, 1.0], np.array([[[0.0, np.nan], [np.nan, 0.0]]] * 2)),
+            ([0.0, 1.0], np.array([[[0.0, np.inf], [np.inf, 0.0]]] * 2)),
+            ([0.0, 1.0, 2.0], np.zeros((2, 3, 3))),
+            ([0.0], np.zeros((2, 3, 3))),
+            ([0.0, 0.0], np.zeros((2, 3, 3))),
+            ([1.0, 0.0], np.zeros((2, 3, 3))),
+            ([], np.zeros((0, 3, 3))),
+        ],
+        ids=["not-3d", "non-square", "nan", "inf", "long-grid", "short-grid",
+             "repeated-time", "decreasing-grid", "empty"],
+    )
+    def test_rejects(self, grid, values):
+        with pytest.raises(ShapeError):
+            DissimilarityTensor(grid, values)
+
+    def test_float_array_kept_without_copy(self):
+        values = np.zeros((3, 2, 2))
+        tensor = DissimilarityTensor([0.0, 1.0, 2.0], values)
+        assert np.shares_memory(tensor.values, values)
+        assert tensor.n == 2 and tensor.num_times == 3
+
+    def test_stacked_is_the_array(self, tmp_path):
+        rng = np.random.default_rng(5)
+        panel = _panel(rng.normal(size=(4, 9)))
+        _, generated, _ = generate(SyntheticScenario("smooth_rotation", n=4, m=6, seed=1))
+        write_tensor(generated, tmp_path / "t.csv")
+        tensors = [
+            rolling_dissimilarity_tensor(panel, "correlation", 3, 2),
+            rolling_dissimilarity_tensor(panel, "euclidean", 1),
+            generated,
+            ingest_tensor(tmp_path / "t.csv"),
+        ]
+        for tensor in tensors:
+            assert np.shares_memory(tensor.stacked(), tensor.values)
+
+
 class TestRollingTensor:
     def test_full_window_single_slice(self):
         rng = np.random.default_rng(3)
@@ -130,7 +176,7 @@ class TestRollingTensor:
         tensor = rolling_dissimilarity_tensor(panel, "correlation", 9, 1)
         assert tensor.num_times == 1
         full = correlation_dissimilarity(panel, (0, 9))
-        npt.assert_array_equal(tensor.slices[0].values, full.values)
+        npt.assert_array_equal(tensor.values[0], full.values)
         assert tensor.time_grid[0] == panel.time_grid[-1]
 
     def test_pointwise_euclidean(self):
@@ -138,7 +184,7 @@ class TestRollingTensor:
         tensor = rolling_dissimilarity_tensor(panel, "euclidean", 1, 1)
         assert tensor.num_times == 3
         expected = np.abs(panel.values[0] - panel.values[1])
-        got = np.array([s.values[0, 1] for s in tensor.slices])
+        got = np.array([s[0, 1] for s in tensor.values])
         npt.assert_allclose(got, expected)
 
     def test_disjoint_weeks_pattern(self):

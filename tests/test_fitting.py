@@ -6,7 +6,6 @@ import numpy.testing as npt
 import pytest
 
 from fmds import (
-    AdamState,
     CoefficientSet,
     ConfigError,
     DissimilarityMatrix,
@@ -30,16 +29,22 @@ from fmds import (
     pair_stress,
     stress,
 )
-from fmds.fitting import _PairwiseAdam, _pair_grad, _stress_value
-from fmds.reference import central_difference_gradient
+from fmds.fitting import (
+    _full_gradients,
+    _PairwiseAdam,
+    _pair_grad,
+    _squared_targets,
+    _stress_value,
+)
+from fmds.reference import AdamState, central_difference_gradient, naive_stress_and_grad
 
 
 def _tensor_from_positions(positions, grid):
     """positions: (n, m, p) -> tensor of per-slice Euclidean distances."""
-    slices = tuple(
-        euclidean_dissimilarity(positions[:, k, :]) for k in range(len(grid))
+    values = np.stack(
+        [euclidean_dissimilarity(positions[:, k, :]).values for k in range(len(grid))]
     )
-    return DissimilarityTensor(grid, slices)
+    return DissimilarityTensor(grid, values)
 
 
 def _random_instance(rng, n=None, m=None, p=None, interior=1):
@@ -48,10 +53,10 @@ def _random_instance(rng, n=None, m=None, p=None, interior=1):
     p = p or int(rng.integers(1, 4))
     kv = make_knots((0.0, 1.0), np.linspace(0, 1, interior + 2)[1:-1], order=4)
     grid = np.linspace(0.0, 1.0, m)
-    slices = tuple(
-        euclidean_dissimilarity(rng.uniform(size=(n, max(p, 2)))) for _ in range(m)
+    values = np.stack(
+        [euclidean_dissimilarity(rng.uniform(size=(n, max(p, 2)))).values for _ in range(m)]
     )
-    tensor = DissimilarityTensor(grid, slices)
+    tensor = DissimilarityTensor(grid, values)
     coeffs = rng.normal(size=(n, p, kv.num_basis)) * 0.5
     return tensor, coeffs, kv
 
@@ -69,8 +74,8 @@ class TestStress:
         tensor, coeffs, kv = _random_instance(rng)
         same = np.repeat(coeffs[:1], coeffs.shape[0], axis=0)
         expected = sum(
-            float((s.values[np.triu_indices(tensor.n, 1)] ** 4).sum())
-            for s in tensor.slices
+            float((s[np.triu_indices(tensor.n, 1)] ** 4).sum())
+            for s in tensor.values
         )
         assert stress(CoefficientSet(same, kv), tensor) == pytest.approx(expected)
 
@@ -79,20 +84,14 @@ class TestStress:
         tensor, coeffs, kv = _random_instance(rng, p=2)
         cs = CoefficientSet(coeffs, kv)
         traj = evaluate_trajectories(cs, tensor.time_grid)
-        own = DissimilarityTensor(
-            tensor.time_grid,
-            tuple(DissimilarityMatrix(traj.fitted_dissimilarities[k])
-                  for k in range(tensor.num_times)),
-        )
+        own = DissimilarityTensor(tensor.time_grid, traj.fitted_dissimilarities)
         assert stress(cs, own) <= 1e-20
 
     def test_hand_case(self):
         # one time point, scalar embedding, constant basis: (4 - 1)^2 = 9
         kv = make_knots((0.0, 1.0), (), order=1)
         coeffs = CoefficientSet(np.array([[[1.0]], [[0.0]]]), kv)
-        tensor = DissimilarityTensor(
-            np.array([0.5]), (DissimilarityMatrix(np.array([[0.0, 2.0], [2.0, 0.0]])),)
-        )
+        tensor = DissimilarityTensor(np.array([0.5]), np.array([[[0.0, 2.0], [2.0, 0.0]]]))
         assert stress(coeffs, tensor) == 9.0
 
     @pytest.mark.parametrize("p", [1, 2, 3, 9])
@@ -102,12 +101,12 @@ class TestStress:
         rng = np.random.default_rng(20 + p)
         tensor, coeffs, kv = _random_instance(rng, n=7, m=9, p=p)
         basis = basis_matrix(kv, tensor.time_grid).values
-        dsq = tensor.stacked() ** 2
+        dsq = tensor.values ** 2
         pos = np.einsum("ipq,kq->ikp", coeffs, basis)
         diff = pos[:, None] - pos[None, :]
         resid = np.moveaxis(dsq, 0, 2) - (diff * diff).sum(axis=-1)
         r = resid[np.triu_indices(tensor.n, 1)]
-        assert _stress_value(coeffs, dsq, basis) == float((r * r).sum())
+        assert _stress_value(coeffs, _squared_targets(tensor.values), basis) == float((r * r).sum())
 
     def test_object_count_mismatch(self):
         rng = np.random.default_rng(2)
@@ -124,11 +123,23 @@ class TestStress:
             stress(bad, tensor)
 
 
+class TestFullGradients:
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_matches_naive_loops(self, n, p):
+        rng = np.random.default_rng(30 + 10 * n + p)
+        tensor, coeffs, kv = _random_instance(rng, n=n, p=p, interior=2)
+        basis = basis_matrix(kv, tensor.time_grid).values
+        got = _full_gradients(coeffs, _squared_targets(tensor.values), basis)
+        _, expected = naive_stress_and_grad(CoefficientSet(coeffs, kv), tensor)
+        npt.assert_allclose(got, np.stack(expected), rtol=1e-12, atol=0.0)
+
+
 class TestPairStress:
     def test_identical_matrices(self):
         rng = np.random.default_rng(4)
         tensor, coeffs, kv = _random_instance(rng)
-        expected = float((tensor.stacked()[:, 0, 1] ** 4).sum())
+        expected = float((tensor.values[:, 0, 1] ** 4).sum())
         assert pair_stress(coeffs[0], coeffs[0], tensor, 0, 1, kv) == pytest.approx(expected)
 
     def test_decomposition_matches_stress(self):
@@ -145,9 +156,7 @@ class TestPairStress:
 
     def test_hand_case(self):
         kv = make_knots((0.0, 1.0), (), order=1)
-        tensor = DissimilarityTensor(
-            np.array([0.5]), (DissimilarityMatrix(np.array([[0.0, 2.0], [2.0, 0.0]])),)
-        )
+        tensor = DissimilarityTensor(np.array([0.5]), np.array([[[0.0, 2.0], [2.0, 0.0]]]))
         assert pair_stress(np.array([[1.0]]), np.array([[0.0]]), tensor, 0, 1, kv) == 9.0
 
     def test_equal_indices_rejected(self):
@@ -191,9 +200,7 @@ class TestWarmStart:
         rng = np.random.default_rng(10)
         base = euclidean_dissimilarity(rng.normal(size=(6, 2)))
         grid = np.linspace(0.0, 1.0, 12)
-        tensor = DissimilarityTensor(
-            grid, tuple(DissimilarityMatrix(base.values) for _ in range(12))
-        )
+        tensor = DissimilarityTensor(grid, np.stack([base.values] * 12))
         warm = init_from_cmds(tensor, FitConfig(p=2, interior_knots=2))
         expected = classical_mds(base, 2).configuration
         traj = evaluate_trajectories(warm, grid)
@@ -210,10 +217,8 @@ class TestWarmStart:
     def test_two_objects_reproduce_distance(self):
         grid = np.linspace(0.0, 1.0, 12)
         d12 = 1.0 + 0.5 * np.sin(2 * np.pi * grid)
-        slices = tuple(
-            DissimilarityMatrix(np.array([[0.0, v], [v, 0.0]])) for v in d12
-        )
-        tensor = DissimilarityTensor(grid, slices)
+        values = np.stack([np.array([[0.0, v], [v, 0.0]]) for v in d12])
+        tensor = DissimilarityTensor(grid, values)
         warm = init_from_cmds(tensor, FitConfig(p=1, interior_knots=4))
         traj = evaluate_trajectories(warm, grid)
         fitted = traj.fitted_dissimilarities[:, 0, 1]
@@ -225,6 +230,18 @@ class TestWarmStart:
         tensor, _, _ = _random_instance(rng, m=5)
         with pytest.raises(Underdetermined):
             init_from_cmds(tensor, FitConfig(p=2, interior_knots=4))
+
+    @pytest.mark.parametrize("kind, seed", [("smooth_rotation", 1), ("smooth_rotation", 3),
+                                            ("static_cloud", 2)])
+    def test_random_init_scale_is_mean_of_slice_means(self, kind, seed):
+        # the scale as a mean of per-slice means; a single mean over all
+        # pairs and times rounds differently on these tensors
+        _, tensor, _ = generate(SyntheticScenario(kind, n=37, m=23, seed=seed, noise_sd=0.1))
+        cfg = FitConfig(p=2, interior_knots=1, rng_seed=seed, init_mode="random")
+        iu = np.triu_indices(tensor.n, 1)
+        scale = float(np.mean([DissimilarityMatrix(s).values[iu].mean() for s in tensor.values]))
+        expected = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(37, 2, 5)) * scale
+        assert np.array_equal(init_random(tensor, cfg).coefficients, expected)
 
     def test_random_init_deterministic(self):
         rng = np.random.default_rng(12)
@@ -286,7 +303,7 @@ class TestFit:
     def test_exact_recovery_line_fixture(self):
         tensor = _linear_line_tensor()
         iu = np.triu_indices(3, 1)
-        quartic = sum(float((s.values[iu] ** 4).sum()) for s in tensor.slices)
+        quartic = sum(float((s[iu] ** 4).sum()) for s in tensor.values)
         result = fit(tensor, FitConfig(p=1, interior_knots=1, max_epochs=500, rng_seed=42))
         final = result.stress_per_epoch[-1]
         assert final <= 1e-6 * quartic
@@ -295,9 +312,7 @@ class TestFit:
 
     def test_zero_tensor_monotone_descent(self):
         grid = np.linspace(0.0, 1.0, 8)
-        zero = DissimilarityTensor(
-            grid, tuple(DissimilarityMatrix(np.zeros((3, 3))) for _ in range(8))
-        )
+        zero = DissimilarityTensor(grid, np.zeros((8, 3, 3)))
         result = fit(zero, FitConfig(p=2, interior_knots=1, max_epochs=300,
                                      rng_seed=7, init_mode="random"))
         increases = np.diff(result.stress_per_epoch)
@@ -316,10 +331,7 @@ class TestFit:
         # stress far above 1e30 is still the warm start's when d is in large units
         scen = SyntheticScenario("smooth_rotation", n=5, p_true=2, m=40, seed=42)
         _, tensor, _ = generate(scen)
-        big = DissimilarityTensor(
-            tensor.time_grid,
-            tuple(DissimilarityMatrix(s.values * 1e10) for s in tensor.slices),
-        )
+        big = DissimilarityTensor(tensor.time_grid, tensor.values * 1e10)
         result = fit(big, FitConfig(p=2, interior_knots=4, max_epochs=2, rng_seed=42))
         assert result.epochs_run == 2
         assert result.initial_stress > 1e30
@@ -341,9 +353,7 @@ class TestFit:
         assert result.converged and result.epochs_run == 1
 
     def test_single_object_rejected(self):
-        tensor = DissimilarityTensor(
-            np.linspace(0, 1, 6), tuple(DissimilarityMatrix(np.zeros((1, 1))) for _ in range(6))
-        )
+        tensor = DissimilarityTensor(np.linspace(0, 1, 6), np.zeros((6, 1, 1)))
         with pytest.raises(InsufficientObjects):
             fit(tensor, FitConfig(p=1, interior_knots=1))
 
@@ -355,6 +365,27 @@ class TestFit:
         assert result.max_displacement_per_epoch.shape == (result.epochs_run,)
         if result.converged:
             assert result.max_displacement_per_epoch[-1] < 1e-6
+
+    def test_peak_memory_is_the_condensed_targets_and_one_stress(self):
+        import tracemalloc
+
+        _, tensor, _ = generate(SyntheticScenario("smooth_rotation", n=200, m=50, seed=1))
+        tracemalloc.start()
+        try:
+            result = fit(tensor, FitConfig(max_epochs=1))
+            _, fit_peak = tracemalloc.get_traced_memory()
+            dsq = _squared_targets(tensor.values)
+            basis = basis_matrix(result.coefficients.knots, tensor.time_grid).values
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _stress_value(result.coefficients.coefficients, dsq, basis)
+            stress_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # a squared copy of the full (m, n, n) tensor next to the stress
+        # evaluation peaked at 46.6 MiB; the stress alone stays at 30.8 MiB
+        assert fit_peak <= 40 * 2**20
+        assert stress_peak <= 31 * 2**20
 
     def test_full_batch_agreement_fixture(self):
         # both optimizers polish the same warm start toward the shared
@@ -384,7 +415,8 @@ class TestPairwiseAdamKernel:
         for rows in orders:
             for h in rows:
                 for j in range(h + 1, n):
-                    grad_h = _pair_grad(coeffs[h], coeffs[j], dsq[:, h, j], basis)
+                    pair = h * (2 * n - h - 1) // 2 + j - h - 1
+                    grad_h = _pair_grad(coeffs[h], coeffs[j], dsq[pair], basis)
                     delta_h = state.step(h, grad_h)
                     delta_j = state.step(j, -grad_h)
                     coeffs[h] += delta_h
@@ -404,7 +436,7 @@ class TestPairwiseAdamKernel:
         init = init_from_cmds if init_mode == "cmds_warm" else init_random
         start = init(tensor, config)
         basis = basis_matrix(start.knots, tensor.time_grid).values
-        dsq = tensor.stacked() ** 2
+        dsq = _squared_targets(tensor.values)
         rng = np.random.default_rng(5)
         orders = [rng.permutation(n - 1) for _ in range(3)]
 
@@ -456,7 +488,7 @@ class TestEvaluateTrajectories:
         iu = np.triu_indices(tensor.n, 1)
         recomputed = 0.0
         for k in range(tensor.num_times):
-            resid = (tensor.slices[k].values[iu] ** 2
+            resid = (tensor.values[k][iu] ** 2
                      - traj.fitted_dissimilarities[k][iu] ** 2)
             recomputed += float((resid ** 2).sum())
         assert abs(recomputed - stress(cs, tensor)) <= 1e-10 * (1 + recomputed)

@@ -183,8 +183,8 @@ class TestIngestTensor:
                       "2,1,2,0.1\n2,1,3,0.2\n2,2,3,0.3\n")
         tensor = ingest_tensor(path)
         assert tensor.n == 3 and tensor.num_times == 2
-        assert tensor.slices[1].values[0, 2] == 0.2
-        assert np.array_equal(tensor.slices[0].values, tensor.slices[0].values.T)
+        assert tensor.values[1, 0, 2] == 0.2
+        assert np.array_equal(tensor.values[0], tensor.values[0].T)
 
     def test_missing_pair_named(self, tmp_path):
         path = _write(tmp_path, "t.csv",
@@ -209,7 +209,7 @@ class TestIngestTensor:
         path = _write(tmp_path, "t.csv",
                       "t,i,j,d\n1,1,2,0.5\n1,2,1,0.5\n")
         tensor = ingest_tensor(path)
-        assert tensor.slices[0].values[0, 1] == 0.5
+        assert tensor.values[0, 0, 1] == 0.5
 
     def test_nonzero_self_dissimilarity(self, tmp_path):
         path = _write(tmp_path, "t.csv", "t,i,j,d\n1,1,1,0.2\n1,1,2,0.5\n")
@@ -226,7 +226,7 @@ class TestIngestTensor:
                       "t,i,j,d\n0,10,30,1\n0,10,77,2\n0,30,77,3\n")
         tensor = ingest_tensor(path)
         assert tensor.n == 3
-        assert tensor.slices[0].values[0, 2] == 2.0
+        assert tensor.values[0, 0, 2] == 2.0
 
     @pytest.mark.parametrize("row, message", [
         ("2,1,2,nan", "4: non-finite value in row ['2', '1', '2', 'nan']"),
@@ -247,7 +247,7 @@ class TestIngestTensor:
         low, high = -(2**63), 2**63 - 1
         path = _write(tmp_path, "t.csv", f"t,i,j,d\n0,{high},{low},1.5\n")
         tensor = ingest_tensor(path)
-        assert tensor.slices[0].values[0, 1] == 1.5
+        assert tensor.values[0, 0, 1] == 1.5
 
     def test_first_spelling_of_a_signed_zero_time_names_it(self, tmp_path):
         path = _write(tmp_path, "t.csv", "t,i,j,d\n-0,1,1,0\n0,1,2,0.5\n")
@@ -278,15 +278,15 @@ class TestIngestTensor:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         grid = np.sort(rng.uniform(0.0, 5.0, 4))
-        slices = tuple(
-            euclidean_dissimilarity(rng.normal(size=(5, 3))) for _ in range(4)
+        values = np.stack(
+            [euclidean_dissimilarity(rng.normal(size=(5, 3))).values for _ in range(4)]
         )
-        tensor = DissimilarityTensor(grid, slices)
+        tensor = DissimilarityTensor(grid, values)
         write_tensor(tensor, tmp_path / "rt.csv", manifest_hash="abc123")
         back = ingest_tensor(tmp_path / "rt.csv")
         npt.assert_array_equal(back.time_grid, tensor.time_grid)
-        for a, b in zip(back.slices, tensor.slices):
-            npt.assert_array_equal(a.values, b.values)
+        for a, b in zip(back.values, tensor.values):
+            npt.assert_array_equal(a, b)
 
 
 def _double_loop_tensor_text(tensor, manifest_hash):
@@ -295,8 +295,7 @@ def _double_loop_tensor_text(tensor, manifest_hash):
     if manifest_hash:
         lines.append(f"# manifest={manifest_hash}")
     lines.append("t,i,j,d")
-    for t, slc in zip(tensor.time_grid, tensor.slices):
-        vals = slc.values
+    for t, vals in zip(tensor.time_grid, tensor.values):
         for i in range(tensor.n):
             for j in range(i + 1, tensor.n):
                 lines.append(f"{_FLOAT.format(t)},{i + 1},{j + 1},{_FLOAT.format(vals[i, j])}")
@@ -312,8 +311,8 @@ def test_write_tensor_bytes_match_double_loop(tmp_path, n, manifest_hash):
     for scale in (0.0, 1e-310, 1e-20, 1.0, 3.3e5, 1e300):
         vals = np.abs(rng.normal(size=(n, n))) * scale
         np.fill_diagonal(vals, 0.0)
-        slices.append(DissimilarityMatrix((vals + vals.T) / 2))
-    tensor = DissimilarityTensor(grid, tuple(slices))
+        slices.append((vals + vals.T) / 2)
+    tensor = DissimilarityTensor(grid, np.stack(slices))
     write_tensor(tensor, tmp_path / "new.csv", manifest_hash=manifest_hash)
     (tmp_path / "old.csv").write_text(_double_loop_tensor_text(tensor, manifest_hash))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -378,8 +377,8 @@ def _line_scan_tensor(path):
                     )
                 mat[a, b] = entries[key]
                 mat[b, a] = entries[key]
-        slices.append(DissimilarityMatrix(mat))
-    return DissimilarityTensor(grid, tuple(slices))
+        slices.append(mat)
+    return DissimilarityTensor(grid, np.stack(slices))
 
 
 def _ingest_outcome(reader, path):

@@ -10,6 +10,7 @@ import pytest
 from fmds import (
     CoefficientSet,
     ConfigError,
+    DissimilarityMatrix,
     DissimilarityTensor,
     SyntheticScenario,
     classical_mds,
@@ -46,11 +47,11 @@ def _random_instance(rng):
     p = int(rng.integers(1, 4))
     kv = make_knots((0.0, 1.0), [0.4, 0.7], order=4)
     grid = np.linspace(0.0, 1.0, m)
-    slices = tuple(
-        euclidean_dissimilarity(rng.uniform(size=(n, max(p, 2)))) for _ in range(m)
+    values = np.stack(
+        [euclidean_dissimilarity(rng.uniform(size=(n, max(p, 2)))).values for _ in range(m)]
     )
     coeffs = rng.normal(size=(n, p, kv.num_basis)) * 0.5
-    return DissimilarityTensor(grid, slices), CoefficientSet(coeffs, kv)
+    return DissimilarityTensor(grid, values), CoefficientSet(coeffs, kv)
 
 
 class TestNaiveBspline:
@@ -139,16 +140,16 @@ class TestGenerate:
     def test_static_cloud_identical_slices(self):
         scen = SyntheticScenario("static_cloud", n=4, p_true=3, m=6, seed=0)
         _, tensor, truth = generate(scen)
-        for s in tensor.slices[1:]:
-            npt.assert_array_equal(s.values, tensor.slices[0].values)
+        for s in tensor.values[1:]:
+            npt.assert_array_equal(s, tensor.values[0])
         npt.assert_array_equal(truth[:, 0, :], truth[:, -1, :])
 
     def test_smooth_rotation_exactly_planar(self):
         scen = SyntheticScenario("smooth_rotation", n=3, p_true=2, m=10, seed=5)
         _, tensor, _ = generate(scen)
-        for s in tensor.slices:
-            recon = reconstructed_dissimilarity(classical_mds(s, 2))
-            npt.assert_allclose(recon.values, s.values, atol=1e-8)
+        for s in tensor.values:
+            recon = reconstructed_dissimilarity(classical_mds(DissimilarityMatrix(s), 2))
+            npt.assert_allclose(recon.values, s, atol=1e-8)
 
     def test_deterministic_under_seed(self):
         scen = SyntheticScenario("random_walk_smoothed", n=3, p_true=2, m=8, seed=9)
@@ -156,15 +157,15 @@ class TestGenerate:
         panel_b, tensor_b, truth_b = generate(scen)
         npt.assert_array_equal(panel_a.values, panel_b.values)
         npt.assert_array_equal(truth_a, truth_b)
-        for sa, sb in zip(tensor_a.slices, tensor_b.slices):
-            npt.assert_array_equal(sa.values, sb.values)
+        for sa, sb in zip(tensor_a.values, tensor_b.values):
+            npt.assert_array_equal(sa, sb)
 
     def test_tensor_passes_validation(self):
         for kind in ("static_cloud", "smooth_rotation", "random_walk_smoothed"):
             scen = SyntheticScenario(kind, n=4, p_true=2, m=6, noise_sd=0.1, seed=1)
             _, tensor, _ = generate(scen)
-            for s in tensor.slices:
-                assert validate(s).passed
+            for s in tensor.values:
+                assert validate(DissimilarityMatrix(s)).passed
 
     def test_panel_rows_cover_coordinates(self):
         scen = SyntheticScenario("smooth_rotation", n=3, p_true=2, m=7, seed=2)
@@ -185,7 +186,7 @@ class TestGenerate:
         noisy = generate(
             SyntheticScenario("static_cloud", n=3, p_true=2, m=4, noise_sd=0.2, seed=4)
         )
-        assert not np.array_equal(noisy[1].slices[0].values, noisy[1].slices[1].values)
+        assert not np.array_equal(noisy[1].values[0], noisy[1].values[1])
         npt.assert_array_equal(quiet[2], noisy[2])
 
     @pytest.mark.parametrize(
