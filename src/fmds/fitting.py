@@ -187,27 +187,27 @@ def _squared_targets(values: np.ndarray) -> np.ndarray:
     return np.square(dsq, out=dsq)
 
 
-def _pair_differences(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Position differences x_h - x_j of the pairs h < j, shape (pairs, times, p)."""
-    h, j = np.triu_indices(coeffs.shape[0], 1)
-    pos = np.einsum("ipq,kq->ikp", coeffs, basis)
-    diff = pos[h]
-    np.subtract(diff, pos[j], out=diff)
-    return diff
-
-
 def _stress_value(coeffs: np.ndarray, dsq: np.ndarray, basis: np.ndarray) -> float:
     """Squared stress of raw coefficient arrays against ``_squared_targets``.
 
-    The residuals form one row-major (pairs, times) array, so the final sum
+    The residuals fill one row-major (pairs, times) array, one object h at a
+    time, so no (pairs, times, p) difference array exists and the final sum
     runs in the same order as a sum over the upper triangle of the full
     pairwise residual tensor.
     """
-    diff = _pair_differences(coeffs, basis)
-    np.multiply(diff, diff, out=diff)
-    resid = diff.sum(axis=-1)
+    pos = np.einsum("ipq,kq->ikp", coeffs, basis)
+    resid = np.empty(dsq.shape)
+    block = np.empty((pos.shape[0] - 1,) + pos.shape[1:])
+    start = 0
+    for h in range(pos.shape[0] - 1):
+        diff = block[h:]
+        np.subtract(pos[h], pos[h + 1:], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.sum(diff, axis=-1, out=resid[start:start + diff.shape[0]])
+        start += diff.shape[0]
     np.subtract(dsq, resid, out=resid)
-    return float((resid * resid).sum())
+    np.multiply(resid, resid, out=resid)
+    return float(resid.sum())
 
 
 def _pair_grad(c_h: np.ndarray, c_j: np.ndarray, dsq_pair: np.ndarray,
@@ -226,9 +226,11 @@ def _full_gradients(coeffs: np.ndarray, dsq: np.ndarray, basis: np.ndarray) -> n
 
     Each pair's term -4 r (x_h - x_j) goes to h and, negated, to j.
     """
-    diff = _pair_differences(coeffs, basis)
-    diff *= (dsq - (diff * diff).sum(axis=-1))[..., None]
     h, j = np.triu_indices(coeffs.shape[0], 1)
+    pos = np.einsum("ipq,kq->ikp", coeffs, basis)
+    diff = pos[h]
+    np.subtract(diff, pos[j], out=diff)
+    diff *= (dsq - (diff * diff).sum(axis=-1))[..., None]
     force = np.zeros((coeffs.shape[0],) + diff.shape[1:])
     np.add.at(force, h, diff)
     np.subtract.at(force, j, diff)
@@ -397,8 +399,10 @@ class _PairwiseAdam:
         minus4 = np.array(-4.0)
         # at (p, q) sizes numpy's per-call overhead is the cost: ufuncs are
         # bound to locals and given their outputs positionally
-        add, subtract, multiply, matmul = np.add, np.subtract, np.multiply, np.matmul
+        add, subtract, multiply, divide, sqrt, matmul = (
+            np.add, np.subtract, np.multiply, np.divide, np.sqrt, np.matmul)
         diff, scratch, increment = np.empty((p, q)), np.empty((2, p, q)), np.empty((p, q))
+        m_hat, v_hat = scratch
         u, squares, sq_sum = np.empty((p, m)), np.empty((p, m)), np.empty(m)
         resid, weighted = np.empty(m), np.empty((p, m))
         first_square, *other_squares = squares
@@ -434,8 +438,15 @@ class _PairwiseAdam:
                 multiply(weighted, minus4, weighted)
                 matmul(weighted, basis, g)
                 multiply(g, g, g_sq)
-                _adam_update(moments_h, grads, decay, gain, correction, neg_alpha, shift,
-                             scratch, increment)
+                # _adam_update's steps for h, on the views made above
+                multiply(grads, gain, scratch)
+                multiply(moments_h, decay, moments_h)
+                add(moments_h, scratch, moments_h)
+                divide(moments_h, correction, scratch)
+                sqrt(v_hat, v_hat)
+                add(v_hat, shift, v_hat)
+                multiply(m_hat, neg_alpha, increment)
+                divide(increment, v_hat, increment)
                 add(c_h, increment, c_h)
             self.step_counts[h] += width
 

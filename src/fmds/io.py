@@ -12,8 +12,10 @@ producing manifest's hash.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 from typing import NoReturn
@@ -27,14 +29,29 @@ _FLOAT = "{:.17g}"
 # one parsed t,i,j,d row, and the ids it may hold
 _TENSOR_ROW = np.dtype([("t", "f8"), ("i", "i8"), ("j", "i8"), ("d", "f8")])
 _INT64 = range(-(2**63), 2**63)
+# The bytes a tensor file may hold after its header for np.loadtxt to read
+# the file as it stands: no comment mark or quote, and only line breaks that
+# universal newlines split exactly as str.splitlines does. Before the header
+# '#' and '"' may appear too, in the comment lines loadtxt skips.
+_PLAIN_BODY = bytes(range(0x20, 0x7F)).translate(None, b'#"') + b"\t\n\r"
+_PLAIN_HEAD = _PLAIN_BODY + b'#"'
+_SCAN_CHUNK = 1 << 20
+# one line with its line end, as universal newlines splits it
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)")
 
 
 def _read_text(path) -> str:
+    """A file's text, decoded as UTF-8 with its line ends as written."""
     try:
-        with open(path, newline="") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "_").splitlines())
+        raise IngestError(f"{path}:{line}: not UTF-8 text (byte {data[exc.start]:#04x})") from None
 
 
 def _records(raw: str) -> list[tuple[int, list[str]]]:
@@ -182,21 +199,21 @@ def ingest_tensor(path) -> DissimilarityTensor:
     rejected, as are non-finite and negative values, nonzero self rows, ids
     outside the int64 range and incomplete pair coverage at any time point.
     Object ids are arbitrary integers and are mapped to 0..n-1 in sorted
-    order.
+    order. The file must be UTF-8 text.
 
     Every valid file is assembled from whole columns: one ``np.loadtxt``
     call parses a plain file, and the csv reader tokenises one that loadtxt
-    refuses (quoted cells, ``\\r`` line ends, ``int`` spellings like ``1_0``).
-    Only a rejected file is read again line by line, to name the first
-    faulty line.
+    refuses (quoted cells, ``int`` spellings like ``1_0``). Only a rejected
+    file is read again line by line, to name the first faulty line.
     """
-    raw = _read_text(path)
-    columns = _loadtxt_columns(raw)
+    # the file's text, read once and only if a fallback needs it
+    text = functools.cache(lambda: _read_text(path))
+    columns = _loadtxt_columns(path, text)
     if columns is None:
-        columns = _record_columns(_records(raw))
+        columns = _record_columns(_records(text()))
     tensor = None if columns is None else _assemble_tensor(*columns)
     if tensor is None:
-        _raise_tensor_error(path, _records(raw))
+        _raise_tensor_error(path, _records(text()))
     return tensor
 
 
@@ -204,20 +221,70 @@ def _is_tensor_header(cells) -> bool:
     return [c.strip().lower() for c in cells] == ["t", "i", "j", "d"]
 
 
-def _loadtxt_columns(raw: str):
-    """The t, i, j, d columns of a file with one record per line, by one
-    ``np.loadtxt`` call, or None if loadtxt refuses the body or the header
-    line is not a plain t,i,j,d."""
-    lines = [line for line in raw.splitlines() if (rest := line.lstrip()) and rest[0] != "#"]
-    if len(lines) < 2 or not _is_tensor_header(lines[0].split(",")):
+def _plain_skiprows(path) -> int | None:
+    """The number of lines up to and including the header when ``np.loadtxt``
+    can read the file as it stands, else None.
+
+    That takes a t,i,j,d header in the first chunk after only blank and '#'
+    lines, only ``_PLAIN_HEAD`` bytes before it and only ``_PLAIN_BODY``
+    bytes after it.
+    """
+    try:
+        with open(path, "rb") as handle:
+            head = handle.read(_SCAN_CHUNK)
+            if head.translate(None, _PLAIN_HEAD):
+                return None
+            for skip, line in enumerate(_LINE.finditer(head), start=1):
+                rest = line[0].lstrip()
+                if rest and rest[:1] != b"#":
+                    break
+            else:
+                return None
+            if (not _is_tensor_header(line[0].decode("ascii").split(","))
+                    or head[line.end():].translate(None, _PLAIN_BODY)):
+                return None
+            while chunk := handle.read(_SCAN_CHUNK):
+                if chunk.translate(None, _PLAIN_BODY):
+                    return None
+    except OSError:  # the text read names the fault
         return None
+    return skip
+
+
+def _loadtxt_columns(path, text):
+    """The t, i, j, d columns that ``np.loadtxt`` parses, or None if it
+    refuses the body or finds no row, or the header line is not a plain
+    t,i,j,d.
+
+    loadtxt reads the file itself when ``_plain_skiprows`` allows it. It
+    reads the non-blank, non-comment lines of ``text()`` when the file is
+    not plain, or when it refused the file itself: a whitespace-only line
+    passes the byte scan.
+    """
+    skiprows = _plain_skiprows(path)
+    if skiprows is not None:
+        with open(path, encoding="ascii") as handle:
+            columns = _loadtxt(handle, skiprows)
+        if columns is not None:
+            return columns
+    lines = [line for line in text().splitlines() if (rest := line.lstrip()) and rest[0] != "#"]
+    if not lines or not _is_tensor_header(lines[0].split(",")):
+        return None
+    return _loadtxt(lines, 1)
+
+
+def _loadtxt(rows, skiprows: int):
+    """The t, i, j, d columns ``np.loadtxt`` parses from ``rows`` after
+    ``skiprows`` lines, or None if it refuses them or finds no row."""
     try:
         with warnings.catch_warnings():
             # numpy < 2 parses an int cell such as 1.0 through float, with a warning
             warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(lines[1:], delimiter=",", comments=None, dtype=_TENSOR_ROW,
-                               ndmin=1)
-    except (ValueError, DeprecationWarning):
+            # an empty body warns; the csv path reports it
+            warnings.simplefilter("error", UserWarning)
+            table = np.loadtxt(rows, skiprows=skiprows, delimiter=",", comments=None,
+                               dtype=_TENSOR_ROW, ndmin=1)
+    except (ValueError, DeprecationWarning, UserWarning):
         return None
     return table["t"], table["i"], table["j"], table["d"]
 
@@ -241,7 +308,9 @@ def _assemble_tensor(t, i, j, d) -> DissimilarityTensor | None:
     """The tensor that parsed rows describe, or None if they are invalid.
 
     A pair's value at a time point is its first row in file order; later
-    rows for that pair must agree with it within 1e-10.
+    rows for that pair must agree with it within 1e-10. Rows that give each
+    pair once, in time then pair order with no self rows (as ``write_tensor``
+    writes them), need no sort.
     """
     if not (np.isfinite(t).all() and np.isfinite(d).all()) or (d < 0).any():
         return None
@@ -250,32 +319,42 @@ def _assemble_tensor(t, i, j, d) -> DissimilarityTensor | None:
         return None
     # the first occurrence of each time names it, so a -0.0 there stays -0.0
     times, first = np.unique(t, return_index=True)
-    ids = np.unique(np.concatenate((i, j)))
+    grid = t[first]
+    ids = np.union1d(np.unique(i), np.unique(j))
     m, n = times.size, ids.size
     pairs = m * n * (n - 1) // 2
-    pair = ~self_row
-    count = np.count_nonzero(pair)
+    count = t.size - np.count_nonzero(self_row)
     if count == 0 or count < pairs:
         return None
+    if count < t.size:
+        pair = ~self_row
+        t, i, j, d = t[pair], i[pair], j[pair], d[pair]
     # every key is below m·n² ≤ 4·count, so it cannot overflow int64
-    key = np.searchsorted(times, t[pair]) * n
-    key += np.searchsorted(ids, np.minimum(i[pair], j[pair]))
+    key = np.searchsorted(times, t) * n
+    key += np.searchsorted(ids, np.minimum(i, j))
     key *= n
-    key += np.searchsorted(ids, np.maximum(i[pair], j[pair]))
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    value = d[pair][order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    if starts.size != pairs:
-        return None
-    head = value[starts]
-    if (np.abs(np.repeat(head, np.diff(starts, append=key.size)) - value) > 1e-10).any():
-        return None
-    k, a, b = np.unravel_index(key[starts], (m, n, n))
+    key += np.searchsorted(ids, np.maximum(i, j))
+    # strictly increasing keys take at most `pairs` distinct values, so
+    # they name every pair once, in order
+    if not (key[1:] > key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        d = d[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        if starts.size != pairs:
+            return None
+        head = d[starts]
+        if (np.abs(np.repeat(head, np.diff(starts, append=key.size)) - d) > 1e-10).any():
+            return None
+        d = head
+    del key
+    # one value per pair key, and every key once: d runs in time, then
+    # triu_indices order
+    a, b = np.triu_indices(n, 1)
     values = np.zeros((m, n, n))
-    values[k, a, b] = head
-    values[k, b, a] = head
-    return DissimilarityTensor(t[first], values)
+    values[:, a, b] = d.reshape(m, -1)
+    values[:, b, a] = d.reshape(m, -1)
+    return DissimilarityTensor(grid, values)
 
 
 def _raise_tensor_error(path, records) -> NoReturn:

@@ -170,6 +170,17 @@ class TestFmdsCommand:
         assert _run("dissim", "--input", panel, "--format", "wide_csv",
                     "--out", tmp_path / "d") == 3
 
+    def test_not_utf8_input_exit(self, tmp_path, capsys):
+        tensor = tmp_path / "t.csv"
+        tensor.write_bytes(b"t,i,j,d\n0,1,2,0.5\xff\n")
+        assert _run("cmds", "--input", tensor, "--out", tmp_path / "c") == 3
+        panel = tmp_path / "p.csv"
+        panel.write_bytes(b"object,1,2,3\naa,1,2,1\nbb,1,2,3\xff\n")
+        assert _run("dissim", "--input", panel, "--format", "wide_csv",
+                    "--out", tmp_path / "d") == 3
+        err = capsys.readouterr().err
+        assert f"{tensor}:2: not UTF-8 text" in err and f"{panel}:3: not UTF-8 text" in err
+
     def test_divergence_exit(self, rotation_tensor, tmp_path):
         assert _run("fmds", "--input", rotation_tensor, "--knots", "2",
                     "--alpha", "10.0", "--baseline", "gd", "--init", "random",

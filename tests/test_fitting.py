@@ -94,12 +94,13 @@ class TestStress:
         tensor = DissimilarityTensor(np.array([0.5]), np.array([[[0.0, 2.0], [2.0, 0.0]]]))
         assert stress(coeffs, tensor) == 9.0
 
+    @pytest.mark.parametrize("n", [2, 7, 40])
     @pytest.mark.parametrize("p", [1, 2, 3, 9])
-    def test_bitwise_equal_to_full_tensor_form(self, p):
+    def test_bitwise_equal_to_full_tensor_form(self, n, p):
         # the full (n, n, m, p) difference tensor, then its upper triangle;
         # p = 9 reaches numpy's unrolled summation over the last axis
-        rng = np.random.default_rng(20 + p)
-        tensor, coeffs, kv = _random_instance(rng, n=7, m=9, p=p)
+        rng = np.random.default_rng(13 + n + p)
+        tensor, coeffs, kv = _random_instance(rng, n=n, m=9, p=p)
         basis = basis_matrix(kv, tensor.time_grid).values
         dsq = tensor.values ** 2
         pos = np.einsum("ipq,kq->ikp", coeffs, basis)
@@ -383,9 +384,30 @@ class TestFit:
         finally:
             tracemalloc.stop()
         # a squared copy of the full (m, n, n) tensor next to the stress
-        # evaluation peaked at 46.6 MiB; the stress alone stays at 30.8 MiB
+        # evaluation peaked at 46.6 MiB; with the stress's (pairs, m, p)
+        # difference arrays, 38.7 MiB
         assert fit_peak <= 40 * 2**20
+        assert fit_peak <= 20 * 2**20
         assert stress_peak <= 31 * 2**20
+
+    def test_stress_peak_memory_is_one_residual_array(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(4)
+        n, m = 400, 50
+        kv = make_knots((0.0, 1.0), np.linspace(0, 1, 7)[1:-1], order=4)
+        basis = basis_matrix(kv, np.linspace(0.0, 1.0, m)).values
+        coeffs = rng.normal(size=(n, 2, kv.num_basis))
+        dsq = rng.uniform(size=(n * (n - 1) // 2, m))
+        tracemalloc.start()
+        try:
+            _stress_value(coeffs, dsq, basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the (pairs, m, p) difference array and its same-size gather made
+        # 4x the targets; the residuals alone are 1x
+        assert peak <= 1.1 * dsq.nbytes
 
     def test_full_batch_agreement_fixture(self):
         # both optimizers polish the same warm start toward the shared

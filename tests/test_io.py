@@ -2,6 +2,7 @@
 
 import csv
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -18,6 +19,7 @@ from fmds import (
     euclidean_dissimilarity,
 )
 from fmds import SyntheticScenario, generate, svgplot
+from fmds import io as fmds_io
 from fmds.io import (
     _FLOAT,
     _read_text,
@@ -90,6 +92,13 @@ class TestIngestPanel:
         path = _write(tmp_path, "p.csv",
                       "# manifest=abc\nobject,1,2\naa,1,2\nbb,3,4\n")
         assert ingest_panel(path).n == 2
+
+    def test_not_utf8_cited(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"object,1,2\r\naa,1,2\r\n\xe9b,3,4\r\n")
+        with pytest.raises(IngestError) as info:
+            ingest_panel(path)
+        assert str(info.value) == f"{path}:3: not UTF-8 text (byte 0xe9)"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
@@ -205,6 +214,12 @@ class TestIngestTensor:
         with pytest.raises(IngestError, match="conflicting"):
             ingest_tensor(path)
 
+    def test_sorted_duplicate_in_place_of_a_missing_pair(self, tmp_path):
+        # as many pair rows as pairs, in order, but not strictly increasing
+        path = _write(tmp_path, "t.csv", "t,i,j,d\n1,1,2,0.5\n1,2,1,0.5\n1,2,3,0.7\n")
+        with pytest.raises(IngestError, match=r"missing pair \(1, 3\) at t=1"):
+            ingest_tensor(path)
+
     def test_mirrored_duplicate_accepted(self, tmp_path):
         path = _write(tmp_path, "t.csv",
                       "t,i,j,d\n1,1,2,0.5\n1,2,1,0.5\n")
@@ -271,9 +286,48 @@ class TestIngestTensor:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the line scan's per-row dict and tuples peaked at 161.5 MiB
+        # the line scan's per-row dict and tuples peaked at 161.5 MiB; the
+        # file's text and its list of lines next to loadtxt at 11.9x the tensor
         assert peak < 120 * 2**20
+        assert peak <= 6 * tensor.values.nbytes
         assert back.stacked().tobytes() == tensor.stacked().tobytes()
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_plain_files_are_read_straight_from_the_file(self, tmp_path, monkeypatch, end):
+        _, tensor, _ = generate(SyntheticScenario("smooth_rotation", n=6, m=4, seed=5))
+        path = tmp_path / "t.csv"
+        write_tensor(tensor, path, manifest_hash="abc")
+        path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+
+        def refuse(*args):
+            raise AssertionError("not read straight from the file")
+
+        # neither the line list nor the csv reader runs, and rows in write
+        # order are not sorted
+        monkeypatch.setattr(fmds_io, "_read_text", refuse)
+        monkeypatch.setattr(fmds_io, "_records", refuse)
+        monkeypatch.setattr(np, "argsort", refuse)
+        back = ingest_tensor(path)
+        assert back.time_grid.tobytes() == tensor.time_grid.tobytes()
+        assert back.stacked().tobytes() == tensor.stacked().tobytes()
+
+    @pytest.mark.parametrize("text", ["t,i,j,d\n", "# manifest=abc\nt,i,j,d", "t,i,j,d\r\n\r\n",
+                                      "t,i,j,d\n  \n", "t,i,j,d\n# note\n"])
+    def test_header_only_file(self, tmp_path, text):
+        path = _write(tmp_path, "t.csv", text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(IngestError) as info:
+                ingest_tensor(path)
+        assert str(info.value) == f"{path}: no pair rows found"
+        assert caught == []
+
+    def test_not_utf8_cited(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"# c\nt,i,j,d\n0,1,2,0.5\xff\n")
+        with pytest.raises(IngestError) as info:
+            ingest_tensor(path)
+        assert str(info.value) == f"{path}:3: not UTF-8 text (byte 0xff)"
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -390,7 +444,12 @@ def _ingest_outcome(reader, path):
 
 
 _FAULTS = ("none", "negative", "conflict", "missing", "self", "cells", "float_id",
-           "underscore_id", "hash", "quoted", "crlf")
+           "underscore_id", "hash", "quoted", "crlf", "not_utf8")
+# line ends: the first three split lines for universal newlines too, the
+# rest only for str.splitlines
+_LINE_ENDS = ("\n", "\r", "\r\n", "\f", "\v", "\x1c", "\x85")
+# lines that may stand between rows: blank, comments, and non-ASCII text
+_FILLER = ("", "  ", "\t", "# note", " #x,y", "# na\u00efve \u00b5")
 
 
 def _number(rnd, value):
@@ -406,11 +465,22 @@ def _underscored(cell):
 
 
 def _tensor_text(draw):
-    """A valid t,i,j,d file, then at most one fault, with the fault's name."""
+    """A valid t,i,j,d file, then at most one fault, with the fault's name.
+
+    Its rows are either shuffled, with duplicates and self rows, or in the
+    order ``write_tensor`` writes them; its lines end in one of
+    ``_LINE_ENDS`` and may have ``_FILLER`` lines between them. A
+    ``not_utf8`` file holds a byte that is not UTF-8, as a lone surrogate
+    for the ``surrogateescape`` error handler.
+    """
     rnd = draw(st.randoms(use_true_random=False))
     n = draw(st.integers(2, 5), label="n")
     ids = draw(st.lists(st.integers(-60, 10**6), min_size=n, max_size=n, unique=True))
     times = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3, unique=True))
+    in_order = draw(st.booleans(), label="in_order")
+    if in_order:
+        ids.sort()
+        times.sort()
     rows = []
     for t in times:
         for a in range(n):
@@ -418,12 +488,14 @@ def _tensor_text(draw):
                 i, j = rnd.sample((ids[a], ids[b]), 2)
                 d = rnd.choice([0.0, rnd.uniform(0.0, 10.0), rnd.uniform(0.0, 1e6)])
                 rows.append([_number(rnd, t), str(i), str(j), _number(rnd, d)])
-                if rnd.random() < 0.2:  # a duplicate within 1e-10, either triangle
+                if not in_order and rnd.random() < 0.2:  # a duplicate within 1e-10
                     near = d + rnd.uniform(0.0, 5e-11)
                     rows.append([_number(rnd, t), str(j), str(i), _number(rnd, near)])
-        for obj in rnd.sample(ids, rnd.randint(0, 2)):
-            rows.append([_number(rnd, t), str(obj), str(obj), _number(rnd, 0.0)])
-    rnd.shuffle(rows)
+        if not in_order:
+            for obj in rnd.sample(ids, rnd.randint(0, 2)):
+                rows.append([_number(rnd, t), str(obj), str(obj), _number(rnd, 0.0)])
+    if not in_order:
+        rnd.shuffle(rows)
 
     fault = draw(st.sampled_from(_FAULTS), label="fault")
     k = rnd.randrange(len(rows))
@@ -451,6 +523,8 @@ def _tensor_text(draw):
         row[3] = row[3] + " # note"
     elif fault == "quoted":
         quoted = rnd.randrange(4)
+    elif fault == "not_utf8":
+        row[rnd.randrange(4)] += "\udcff"
 
     def line(r):
         cells = [rnd.choice(["", " ", "\t"]) + c + rnd.choice(["", "  "]) for c in r]
@@ -459,8 +533,14 @@ def _tensor_text(draw):
         return ",".join(cells)
 
     lead = rnd.sample(["", "# manifest=abc", "  ", "#x,y"], rnd.randint(0, 3))
-    lines = lead + ["t,i,j,d"] + [line(r) for r in rows]
-    end = "\r\n" if fault == "crlf" else "\n"
+    body = [line(r) for r in rows]
+    for _ in range(draw(st.integers(0, 2), label="filler")):
+        body.insert(rnd.randint(0, len(body)), rnd.choice(_FILLER))
+    lines = lead + ["t,i,j,d"] + body
+    # the csv reader keeps a line end that only str.splitlines knows in a
+    # quoted last cell, so quoted rows end in universal newlines
+    ends = _LINE_ENDS[:3] if fault == "quoted" else _LINE_ENDS
+    end = "\r\n" if fault == "crlf" else draw(st.sampled_from(ends), label="end")
     return end.join(lines) + end, fault
 
 
@@ -470,13 +550,13 @@ if st is not None:
     def test_ingest_tensor_matches_line_scan(tmp_path_factory, data):
         text, fault = _tensor_text(data.draw)
         path = tmp_path_factory.mktemp("diff") / "t.csv"
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         expected = _ingest_outcome(_line_scan_tensor, path)
         assert _ingest_outcome(ingest_tensor, path) == expected
         if fault in ("none", "quoted", "crlf"):
             assert not isinstance(expected, str)
-        elif fault in ("negative", "conflict", "missing", "self", "cells", "float_id", "hash"):
+        elif fault in ("negative", "conflict", "missing", "self", "cells", "float_id", "hash",
+                       "not_utf8"):
             assert isinstance(expected, str)
 
 
