@@ -6,7 +6,8 @@
 
 Each file is a record that ``perfbench/run.py`` wrote to ``.bench_out/``.
 The k-th parent file and the k-th change file form one pair: both must hold
-the same workload, seed and trace setting. For every workload and metric the
+the same workload, seed, trace setting and sizes, so a ``--size tiny``
+self-test record never pairs with a full run. For every workload and metric the
 summary holds each side's median and quartiles (linear interpolation, as
 ``statistics.quantiles(..., method="inclusive")``), every value, and how many
 pairs the change won, lost and tied, with "better" taken from
@@ -47,7 +48,7 @@ def summarise(parent: list[dict], change: list[dict], better: dict[str, str]) ->
     workloads: dict[str, dict] = {}
     for k, (old, new) in enumerate(zip(parent, change)):
         key = [(r["environment"]["workload"], r["environment"]["seed"],
-                r["environment"]["trace"]) for r in (old, new)]
+                r["environment"]["trace"], r["environment"]["sizes"]) for r in (old, new)]
         if key[0] != key[1]:
             raise ValueError(f"pair {k + 1} mixes runs {key[0]} and {key[1]}")
         group = workloads.setdefault(key[0][0], {"pairs": []})

@@ -224,16 +224,19 @@ def _pair_grad(c_h: np.ndarray, c_j: np.ndarray, dsq_pair: np.ndarray,
 def _full_gradients(coeffs: np.ndarray, dsq: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Gradient of the full objective with respect to every coefficient matrix.
 
-    Each pair's term -4 r (x_h - x_j) goes to h and, negated, to j.
+    Each pair's term -4 r (x_h - x_j) goes to h and, negated, to j. The
+    pairs are formed one object h at a time, as in ``_stress_value``.
     """
-    h, j = np.triu_indices(coeffs.shape[0], 1)
     pos = np.einsum("ipq,kq->ikp", coeffs, basis)
-    diff = pos[h]
-    np.subtract(diff, pos[j], out=diff)
-    diff *= (dsq - (diff * diff).sum(axis=-1))[..., None]
-    force = np.zeros((coeffs.shape[0],) + diff.shape[1:])
-    np.add.at(force, h, diff)
-    np.subtract.at(force, j, diff)
+    force = np.zeros(pos.shape)
+    start = 0
+    for h in range(pos.shape[0] - 1):
+        diff = pos[h] - pos[h + 1:]
+        rows = dsq[start:start + diff.shape[0]]
+        start += diff.shape[0]
+        diff *= (rows - (diff * diff).sum(axis=-1))[..., None]
+        force[h] += diff.sum(axis=0)
+        force[h + 1:] -= diff
     return -4.0 * np.einsum("ikp,kq->ipq", force, basis)
 
 

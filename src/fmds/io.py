@@ -2,23 +2,21 @@
 
 Panels are wide CSV (header row of time labels, one row per object);
 dissimilarity tensors are long CSV with columns t,i,j,d over the upper
-triangle. Floats are written with 17 significant digits, and labels holding
-a comma, quote or line break, starting with '#' or with surrounding
-whitespace are quoted, so a write/read round trip is exact. Lines starting
-with '#' outside a quoted cell are comments; writers use them to embed the
-producing manifest's hash.
+triangle. Floats are written with 17 significant digits, so every finite
+double reads back as the same double. Labels holding a comma, a quote or
+any line break ``str.splitlines`` knows, starting with '#' or with
+surrounding whitespace are quoted, so every non-empty string label reads
+back unchanged. Lines starting with '#' outside a quoted cell are
+comments; writers use them to embed the producing manifest's hash.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
-import re
 import warnings
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -29,15 +27,12 @@ _FLOAT = "{:.17g}"
 # one parsed t,i,j,d row, and the ids it may hold
 _TENSOR_ROW = np.dtype([("t", "f8"), ("i", "i8"), ("j", "i8"), ("d", "f8")])
 _INT64 = range(-(2**63), 2**63)
-# The bytes a tensor file may hold after its header for np.loadtxt to read
-# the file as it stands: no comment mark or quote, and only line breaks that
-# universal newlines split exactly as str.splitlines does. Before the header
-# '#' and '"' may appear too, in the comment lines loadtxt skips.
-_PLAIN_BODY = bytes(range(0x20, 0x7F)).translate(None, b'#"') + b"\t\n\r"
-_PLAIN_HEAD = _PLAIN_BODY + b'#"'
+# The bytes a tensor file may hold for np.loadtxt to read it as it stands:
+# printable ASCII, tabs, and only the line breaks that universal newlines
+# splits exactly as str.splitlines does. '#' and '"' pass, for the comment
+# lines before the header; loadtxt refuses a body line that holds one.
+_PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n\r"
 _SCAN_CHUNK = 1 << 20
-# one line with its line end, as universal newlines splits it
-_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)")
 
 
 def _read_text(path) -> str:
@@ -83,8 +78,13 @@ def _records(raw: str) -> list[tuple[int, list[str]]]:
         text = "".join(consumed)
         consumed.clear()
         quoted = _quoted_cells(text) if '"' in text else ()
-        records.append((start.pop(),
-                        [c if k in quoted else c.strip() for k, c in enumerate(row)]))
+        cells = [c if k in quoted else c.strip() for k, c in enumerate(row)]
+        # the reader ends a record only at '\r' or '\n', and keeps any other
+        # line end str.splitlines knows in a quoted last cell
+        end = text[-1:]
+        if len(cells) - 1 in quoted and end not in "\r\n" and end.splitlines() == [""]:
+            cells[-1] = cells[-1].removesuffix(end)
+        records.append((start.pop(), cells))
     return records
 
 
@@ -115,8 +115,8 @@ def _quoted_cells(text: str) -> set[int]:
 def _label_cell(label) -> str:
     """An object label as one CSV cell, quoted only when it must be."""
     text = str(label)
-    if (any(ch in text for ch in ',"\r\n') or text.lstrip().startswith("#")
-            or text != text.strip()):
+    if (',' in text or '"' in text or "".join(text.splitlines()) != text
+            or text.lstrip().startswith("#") or text != text.strip()):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -201,19 +201,18 @@ def ingest_tensor(path) -> DissimilarityTensor:
     Object ids are arbitrary integers and are mapped to 0..n-1 in sorted
     order. The file must be UTF-8 text.
 
-    Every valid file is assembled from whole columns: one ``np.loadtxt``
-    call parses a plain file, and the csv reader tokenises one that loadtxt
-    refuses (quoted cells, ``int`` spellings like ``1_0``). Only a rejected
-    file is read again line by line, to name the first faulty line.
+    One ``np.loadtxt`` call parses a file of plain rows, as the writers make
+    them, straight from the file. Any file it refuses (quoted cells, comment
+    or whitespace-only lines in the body, non-ASCII text, ``int`` spellings
+    like ``1_0``) or that turns out invalid is read by the line scan, which
+    builds the same columns row by row or names the first faulty line.
     """
-    # the file's text, read once and only if a fallback needs it
-    text = functools.cache(lambda: _read_text(path))
-    columns = _loadtxt_columns(path, text)
-    if columns is None:
-        columns = _record_columns(_records(text()))
+    columns = _array_columns(path)
     tensor = None if columns is None else _assemble_tensor(*columns)
     if tensor is None:
-        _raise_tensor_error(path, _records(text()))
+        tensor = _assemble_tensor(*_scan_columns(path))
+    if tensor is None:
+        raise RuntimeError(f"{path}: the array check rejected a file the line scan accepts")
     return tensor
 
 
@@ -221,86 +220,37 @@ def _is_tensor_header(cells) -> bool:
     return [c.strip().lower() for c in cells] == ["t", "i", "j", "d"]
 
 
-def _plain_skiprows(path) -> int | None:
-    """The number of lines up to and including the header when ``np.loadtxt``
-    can read the file as it stands, else None.
+def _array_columns(path):
+    """The t, i, j, d columns ``np.loadtxt`` parses from the file as it
+    stands, or None if it cannot.
 
-    That takes a t,i,j,d header in the first chunk after only blank and '#'
-    lines, only ``_PLAIN_HEAD`` bytes before it and only ``_PLAIN_BODY``
-    bytes after it.
+    That takes only ``_PLAIN`` bytes, and a plain t,i,j,d header after only
+    blank and '#' lines; loadtxt then reads the rest of the same handle and
+    must parse every line and find a row.
     """
     try:
         with open(path, "rb") as handle:
-            head = handle.read(_SCAN_CHUNK)
-            if head.translate(None, _PLAIN_HEAD):
-                return None
-            for skip, line in enumerate(_LINE.finditer(head), start=1):
-                rest = line[0].lstrip()
-                if rest and rest[:1] != b"#":
+            while chunk := handle.read(_SCAN_CHUNK):
+                if chunk.translate(None, _PLAIN):
+                    return None
+        with open(path, encoding="ascii") as handle:
+            for line in handle:
+                if (rest := line.lstrip()) and rest[0] != "#":
                     break
             else:
                 return None
-            if (not _is_tensor_header(line[0].decode("ascii").split(","))
-                    or head[line.end():].translate(None, _PLAIN_BODY)):
+            if not _is_tensor_header(line.split(",")):
                 return None
-            while chunk := handle.read(_SCAN_CHUNK):
-                if chunk.translate(None, _PLAIN_BODY):
-                    return None
-    except OSError:  # the text read names the fault
+            with warnings.catch_warnings():
+                # numpy < 2 parses an int cell such as 1.0 through float, with a warning
+                warnings.simplefilter("error", DeprecationWarning)
+                # an empty body warns; the line scan reports it
+                warnings.simplefilter("error", UserWarning)
+                table = np.loadtxt(handle, delimiter=",", comments=None, dtype=_TENSOR_ROW,
+                                   ndmin=1)
+    # a read fault is named by the line scan's read, a refused body by its rows
+    except (OSError, ValueError, DeprecationWarning, UserWarning):
         return None
-    return skip
-
-
-def _loadtxt_columns(path, text):
-    """The t, i, j, d columns that ``np.loadtxt`` parses, or None if it
-    refuses the body or finds no row, or the header line is not a plain
-    t,i,j,d.
-
-    loadtxt reads the file itself when ``_plain_skiprows`` allows it. It
-    reads the non-blank, non-comment lines of ``text()`` when the file is
-    not plain, or when it refused the file itself: a whitespace-only line
-    passes the byte scan.
-    """
-    skiprows = _plain_skiprows(path)
-    if skiprows is not None:
-        with open(path, encoding="ascii") as handle:
-            columns = _loadtxt(handle, skiprows)
-        if columns is not None:
-            return columns
-    lines = [line for line in text().splitlines() if (rest := line.lstrip()) and rest[0] != "#"]
-    if not lines or not _is_tensor_header(lines[0].split(",")):
-        return None
-    return _loadtxt(lines, 1)
-
-
-def _loadtxt(rows, skiprows: int):
-    """The t, i, j, d columns ``np.loadtxt`` parses from ``rows`` after
-    ``skiprows`` lines, or None if it refuses them or finds no row."""
-    try:
-        with warnings.catch_warnings():
-            # numpy < 2 parses an int cell such as 1.0 through float, with a warning
-            warnings.simplefilter("error", DeprecationWarning)
-            # an empty body warns; the csv path reports it
-            warnings.simplefilter("error", UserWarning)
-            table = np.loadtxt(rows, skiprows=skiprows, delimiter=",", comments=None,
-                               dtype=_TENSOR_ROW, ndmin=1)
-    except (ValueError, DeprecationWarning, UserWarning):
-        return None
-    return table["t"], table["i"], table["j"], table["d"]
-
-
-def _record_columns(records):
-    """The t, i, j, d columns of csv records, or None if a record is not a
-    well-formed row."""
-    if not records or not _is_tensor_header(records[0][1]):
-        return None
-    try:
-        rows = [(float(t), int(i), int(j), float(d)) for _, (t, i, j, d) in records[1:]]
-    except ValueError:  # a bad cell, or a record without exactly 4 cells
-        return None
-    if any(i not in _INT64 or j not in _INT64 for _, i, j, _ in rows):
-        return None
-    table = np.array(rows, dtype=_TENSOR_ROW)
     return table["t"], table["i"], table["j"], table["d"]
 
 
@@ -357,15 +307,18 @@ def _assemble_tensor(t, i, j, d) -> DissimilarityTensor | None:
     return DissimilarityTensor(grid, values)
 
 
-def _raise_tensor_error(path, records) -> NoReturn:
-    """Raise the IngestError for the first fault met reading the records
-    line by line, in file order, then coverage in time and id order."""
+def _scan_columns(path):
+    """The t, i, j, d columns of the file's csv records, read line by line
+    in file order, then checked for coverage in time and id order; an
+    IngestError names the first fault."""
+    records = _records(_read_text(path))
     if not records:
         raise IngestError(f"{path}: empty file")
     header_line, header = records[0]
     if not _is_tensor_header(header):
         raise IngestError(f"{path}:{header_line}: header must be t,i,j,d")
 
+    rows = []
     entries: dict[tuple[float, int, int], float] = {}
     ids: set[int] = set()
     times: set[float] = set()
@@ -386,6 +339,7 @@ def _raise_tensor_error(path, records) -> NoReturn:
             raise IngestError(f"{path}:{lineno}: non-finite value in row {cells!r}")
         if d < 0:
             raise IngestError(f"{path}:{lineno}: negative dissimilarity {d}")
+        rows.append((t, i, j, d))
         if i == j:
             if d != 0.0:
                 raise IngestError(f"{path}:{lineno}: nonzero self-dissimilarity for object {i}")
@@ -410,7 +364,8 @@ def _raise_tensor_error(path, records) -> NoReturn:
             for high in id_list[a + 1:]:
                 if (t, low, high) not in entries:
                     raise IngestError(f"{path}: missing pair ({low}, {high}) at t={t}")
-    raise RuntimeError(f"{path}: the array check rejected a file the line scan accepts")
+    table = np.array(rows, dtype=_TENSOR_ROW)
+    return table["t"], table["i"], table["j"], table["d"]
 
 
 def write_tensor(tensor: DissimilarityTensor, path, manifest_hash: str | None = None) -> None:

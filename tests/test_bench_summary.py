@@ -9,8 +9,9 @@ import pytest
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_summary.py"
 
 
-def _record(workload, seed, sha, wall, rss, failed=0):
-    return {"environment": {"workload": workload, "seed": seed, "trace": 0, "git_sha": sha},
+def _record(workload, seed, sha, wall, rss, failed=0, sizes=None):
+    return {"environment": {"workload": workload, "seed": seed, "trace": 0, "git_sha": sha,
+                            "sizes": sizes or {"n": 100, "m": 60}},
             "result": {"attempted": 20, "failed": failed,
                        "metrics": {"wall_s": {"value": wall, "unit": "s"},
                                    "peak_rss_mb": {"value": rss, "unit": "MiB"}}}}
@@ -53,11 +54,16 @@ def test_medians_quartiles_and_wins(tmp_path):
     assert rss["change_wins"] == 5 and rss["median_change_pct"] == pytest.approx(-22.5)
 
 
-def test_mismatched_pairs_refused(tmp_path):
+@pytest.mark.parametrize("other", [
+    {"seed": 2},
+    {"sizes": {"n": 8, "m": 6}},  # a --size tiny self-test record
+])
+def test_mismatched_pairs_refused(tmp_path, other):
     main = runpy.run_path(str(SCRIPT))["main"]
     parent = _write(tmp_path, [_record("w", 1, "a", 1.0, 1.0)])
     (tmp_path / "c").mkdir()
-    change = _write(tmp_path / "c", [_record("w", 2, "b", 1.0, 1.0)])
+    change = _write(tmp_path / "c", [_record("w", other.get("seed", 1), "b", 1.0, 1.0,
+                                             sizes=other.get("sizes"))])
     assert main(["--slug", "x", "--parent", *parent, "--change", *change,
                  "--out-dir", str(tmp_path)]) == 2
     assert not (tmp_path / "BENCH_x.json").exists()

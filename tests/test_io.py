@@ -125,8 +125,11 @@ class TestIngestPanel:
 
     def test_awkward_labels_round_trip_exactly(self, tmp_path):
         labels = ("a\nb", "#x", 'q"uote', "c,d", "r\rs", "e\r\n\n#f", "plain",
-                  " #y", "c ", "\td")
-        panel = ObjectPanel(labels, np.arange(20.0).reshape(10, 2), np.array([0.5, 1.5]))
+                  " #y", "c ", "\td",
+                  # line breaks that only str.splitlines knows
+                  "a\vb", "a\fb", "a\x1cb", "a\x1db", "a\x1eb", "a\x85b", "a\u2028b", "a\u2029b")
+        panel = ObjectPanel(labels, np.arange(2.0 * len(labels)).reshape(-1, 2),
+                            np.array([0.5, 1.5]))
         write_panel(panel, tmp_path / "rt.csv", manifest_hash="f00")
         back = ingest_panel(tmp_path / "rt.csv")
         assert back.labels == labels
@@ -310,6 +313,37 @@ class TestIngestTensor:
         back = ingest_tensor(path)
         assert back.time_grid.tobytes() == tensor.time_grid.tobytes()
         assert back.stacked().tobytes() == tensor.stacked().tobytes()
+
+    @pytest.mark.parametrize("variant, loadtxt_calls", [
+        (lambda lines: lines[:4] + ["# note\n"] + lines[4:], 1),
+        (lambda lines: lines[:4] + [" \t\n"] + lines[4:], 1),
+        (lambda lines: lines[:4] + ['"' + lines[4].replace(",", '",', 1)] + lines[5:], 1),
+        (lambda lines: lines[:4] + ["# na\u00efve\n"] + lines[4:], 0),
+        (lambda lines: [line.replace("\n", "\x1c") for line in lines], 0),
+    ], ids=["comment_line", "whitespace_line", "quoted_cell", "non_ascii_comment",
+            "splitlines_line_ends"])
+    def test_files_loadtxt_refuses_take_the_line_scan(self, tmp_path, monkeypatch, variant,
+                                                       loadtxt_calls):
+        _, tensor, _ = generate(SyntheticScenario("smooth_rotation", n=6, m=4, seed=5))
+        path = tmp_path / "t.csv"
+        write_tensor(tensor, path, manifest_hash="abc")
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_bytes("".join(variant(lines)).encode("utf-8"))
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+        back = ingest_tensor(path)
+        assert len(calls) == loadtxt_calls
+        assert back.time_grid.tobytes() == tensor.time_grid.tobytes()
+        assert back.stacked().tobytes() == tensor.stacked().tobytes()
+
+    def test_quoted_last_cell_before_a_splitlines_line_end(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b't,i,j,d\n-0,0,1,"-0"\x1c')
+        plain = ingest_tensor(_write(tmp_path, "plain.csv", "t,i,j,d\n-0,0,1,-0\n"))
+        back = ingest_tensor(path)
+        assert back.time_grid.tobytes() == plain.time_grid.tobytes()
+        assert back.stacked().tobytes() == plain.stacked().tobytes()
 
     @pytest.mark.parametrize("text", ["t,i,j,d\n", "# manifest=abc\nt,i,j,d", "t,i,j,d\r\n\r\n",
                                       "t,i,j,d\n  \n", "t,i,j,d\n# note\n"])
@@ -537,10 +571,7 @@ def _tensor_text(draw):
     for _ in range(draw(st.integers(0, 2), label="filler")):
         body.insert(rnd.randint(0, len(body)), rnd.choice(_FILLER))
     lines = lead + ["t,i,j,d"] + body
-    # the csv reader keeps a line end that only str.splitlines knows in a
-    # quoted last cell, so quoted rows end in universal newlines
-    ends = _LINE_ENDS[:3] if fault == "quoted" else _LINE_ENDS
-    end = "\r\n" if fault == "crlf" else draw(st.sampled_from(ends), label="end")
+    end = "\r\n" if fault == "crlf" else draw(st.sampled_from(_LINE_ENDS), label="end")
     return end.join(lines) + end, fault
 
 
