@@ -20,9 +20,8 @@ import numpy as np
 
 from . import io, svgplot
 from .bspline import eval_basis, make_knots
-from .cmds import classical_mds, reconstructed_dissimilarity
+from .cmds import _mds_blocks, _solution, classical_mds, reconstructed_dissimilarity
 from .dissimilarity import (
-    DissimilarityMatrix,
     DissimilarityTensor,
     euclidean_dissimilarity,
     rolling_dissimilarity_tensor,
@@ -182,8 +181,9 @@ def run_cmds_command(manifest: RunManifest) -> int:
     digest = manifest.sha256()
     comments = _svg_comments(manifest)
 
-    solutions = [classical_mds(DissimilarityMatrix(values), manifest.dim)
-                 for values in tensor.values]
+    solutions = [_solution(configuration, eigenvalues, manifest.dim)
+                 for block in _mds_blocks(tensor.values, manifest.dim)
+                 for configuration, eigenvalues in zip(*block)]
 
     slice_summaries = []
     for k, solution in enumerate(solutions):

@@ -15,6 +15,16 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSeries, ShapeError, WindowTooLong
 
+# The rolling correlation takes as many windows at a time as keep all of a
+# block's temporaries, about five (n, n) float arrays per window, within this
+# many bytes.
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_windows(n: int, length: int) -> int:
+    """Windows per block of the rolling correlation."""
+    return max(1, _BLOCK_BYTES // (5 * 8 * n * max(n, length)))
+
 
 @dataclass(frozen=True, eq=False)
 class DissimilarityMatrix:
@@ -175,6 +185,39 @@ def correlation(y_i, y_j) -> float:
     return float(np.clip(r, -1.0, 1.0))
 
 
+def _correlation_windows(panel: ObjectPanel, start: int, count: int, stride: int,
+                         length: int) -> np.ndarray:
+    """Correlation dissimilarities (count, n, n) of the windows of ``length``
+    starting at start, start + stride, ..., as one stacked pass.
+
+    Every step acts on one window's series alone, so each slice has the
+    same bits as the window computed on its own.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(panel.values, length, axis=1)
+    # a C-ordered copy, so every windowed series is contiguous
+    centered = windows[:, start:start + count * stride:stride].transpose(1, 0, 2).copy()
+    centered -= centered.mean(axis=2, keepdims=True)
+    sumsq = (centered * centered).sum(axis=2)
+    constant = np.argwhere(sumsq == 0.0)
+    if constant.size:
+        k, i = constant[0]
+        first = start + int(k) * stride
+        raise DegenerateSeries(
+            f"object {panel.labels[i]!r} is constant on window ({first}, {first + length})"
+        )
+    # Each (1, w) @ (w, 1) product is a vector-vector matmul, which numpy
+    # hands to the same BLAS dot as ``centered[k, i] @ centered[k, j]``; a
+    # single ``centered @ centered.T`` goes through gemm, whose blocked sums
+    # differ in the last bits.
+    gram = (centered[:, :, None, None, :] @ centered[:, None, :, :, None])[..., 0, 0]
+    scale = np.sqrt(sumsq)
+    r = np.clip(gram / (scale[:, :, None] * scale[:, None, :]), -1.0, 1.0)
+    upper = np.triu((1.0 - r) / 2.0, 1)
+    # entries are >= 0, so adding the zero lower triangle changes no bit and
+    # leaves every slice exactly symmetric with an exactly zero diagonal
+    return upper + upper.transpose(0, 2, 1)
+
+
 def correlation_dissimilarity(panel: ObjectPanel, window: tuple[int, int]) -> DissimilarityMatrix:
     """Correlation dissimilarity (1 - R) / 2 over a window of a panel.
 
@@ -190,25 +233,7 @@ def correlation_dissimilarity(panel: ObjectPanel, window: tuple[int, int]) -> Di
         raise ConfigError(f"window ({start}, {stop}) outside panel of length {panel.num_times}")
     if stop - start < 2:
         raise ConfigError("correlation window must cover at least 2 observations")
-    segment = panel.values[:, start:stop]
-    centered = segment - segment.mean(axis=1, keepdims=True)
-    sumsq = (centered * centered).sum(axis=1)
-    constant = np.flatnonzero(sumsq == 0.0)
-    if constant.size:
-        raise DegenerateSeries(
-            f"object {panel.labels[constant[0]]!r} is constant on window ({start}, {stop})"
-        )
-    # Each (1, w) @ (w, 1) product is a vector-vector matmul, which numpy
-    # hands to the same BLAS dot as ``centered[i] @ centered[j]``; a single
-    # ``centered @ centered.T`` goes through gemm, whose blocked sums differ
-    # in the last bits.
-    gram = (centered[:, None, None, :] @ centered[:, :, None])[..., 0, 0]
-    scale = np.sqrt(sumsq)
-    r = np.clip(gram / np.multiply.outer(scale, scale), -1.0, 1.0)
-    upper = np.triu((1.0 - r) / 2.0, 1)
-    # entries are >= 0, so adding the zero lower triangle changes no bit and
-    # leaves the result exactly symmetric with an exactly zero diagonal
-    return DissimilarityMatrix(upper + upper.T)
+    return DissimilarityMatrix(_correlation_windows(panel, start, 1, 1, stop - start)[0])
 
 
 def rolling_dissimilarity_tensor(
@@ -223,7 +248,8 @@ def rolling_dissimilarity_tensor(
     With ``metric="euclidean"`` the windowed series are compared as
     feature vectors (a length-1 window reduces to per-timepoint absolute
     differences); with ``metric="correlation"`` each slice is the
-    correlation dissimilarity of the window.
+    correlation dissimilarity of the window, built a block of windows at
+    a time.
     """
     if metric not in ("euclidean", "correlation"):
         raise ConfigError(f"unknown metric {metric!r}")
@@ -235,14 +261,18 @@ def rolling_dissimilarity_tensor(
     if window_len < 1 or (metric == "correlation" and window_len < 2):
         raise ConfigError(f"window of {window_len} too short for metric {metric!r}")
 
-    stops = range(window_len, m + 1, stride)
-    values = np.empty((len(stops), panel.n, panel.n))
-    for stop, out in zip(stops, values):
-        start = stop - window_len
-        if metric == "euclidean":
-            out[...] = euclidean_dissimilarity(panel.values[:, start:stop]).values
-        else:
-            out[...] = correlation_dissimilarity(panel, (start, stop)).values
+    count = len(range(window_len, m + 1, stride))
+    values = np.empty((count, panel.n, panel.n))
+    if metric == "correlation":
+        step = _block_windows(panel.n, window_len)
+        for first in range(0, count, step):
+            block = values[first:first + step]
+            block[...] = _correlation_windows(panel, first * stride, len(block), stride,
+                                              window_len)
+    else:
+        for k, out in enumerate(values):
+            start = k * stride
+            out[...] = euclidean_dissimilarity(panel.values[:, start:start + window_len]).values
     return DissimilarityTensor(panel.time_grid[window_len - 1::stride], values)
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import KnotVector, basis_matrix, make_knots, _solve_least_squares
-from .cmds import classical_mds
-from .dissimilarity import DissimilarityMatrix, DissimilarityTensor
+from .cmds import _mds_blocks
+from .dissimilarity import DissimilarityTensor
 from .errors import (
     ConfigError,
     DivergedError,
@@ -196,15 +196,24 @@ def _stress_value(coeffs: np.ndarray, dsq: np.ndarray, basis: np.ndarray) -> flo
     pairwise residual tensor.
     """
     pos = np.einsum("ipq,kq->ikp", coeffs, basis)
+    p = pos.shape[-1]
     resid = np.empty(dsq.shape)
     block = np.empty((pos.shape[0] - 1,) + pos.shape[1:])
     start = 0
     for h in range(pos.shape[0] - 1):
         diff = block[h:]
+        rows = resid[start:start + diff.shape[0]]
+        start += diff.shape[0]
         np.subtract(pos[h], pos[h + 1:], out=diff)
         np.multiply(diff, diff, out=diff)
-        np.sum(diff, axis=-1, out=resid[start:start + diff.shape[0]])
-        start += diff.shape[0]
+        if 1 < p < 8:
+            # numpy sums a last axis shorter than 8 left to right, as these
+            # column adds do; from 8 on it sums pairwise
+            np.add(diff[..., 0], diff[..., 1], out=rows)
+            for c in range(2, p):
+                np.add(rows, diff[..., c], out=rows)
+        else:
+            np.sum(diff, axis=-1, out=rows)
     np.subtract(dsq, resid, out=resid)
     np.multiply(resid, resid, out=resid)
     return float(resid.sum())
@@ -330,8 +339,8 @@ def init_from_cmds(tensor: DissimilarityTensor, config: FitConfig) -> Coefficien
     m, n, p = tensor.num_times, tensor.n, config.p
 
     aligned = np.empty((m, n, p))
-    for k, values in enumerate(tensor.values):
-        embedded = classical_mds(DissimilarityMatrix(values), p).configuration
+    slices = (embedded for block, _ in _mds_blocks(tensor.values, p) for embedded in block)
+    for k, embedded in enumerate(slices):
         aligned[k] = embedded @ _procrustes_rotation(embedded, aligned[k - 1]) if k else embedded
 
     basis = basis_matrix(knots, tensor.time_grid)

@@ -391,8 +391,9 @@ def write_coordinates(configuration: np.ndarray, labels, path,
     if manifest_hash:
         lines.append(f"# manifest={manifest_hash}")
     lines.append("object," + ",".join(f"x{k + 1}" for k in range(p)))
+    coords = ",".join([_FLOAT] * p)
     for label, row in zip(labels, configuration):
-        lines.append(_label_cell(label) + "," + ",".join(_FLOAT.format(v) for v in row))
+        lines.append(_label_cell(label) + "," + coords.format(*row.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -404,10 +405,14 @@ def write_trajectories(grid: np.ndarray, positions: np.ndarray, labels, path,
     if manifest_hash:
         lines.append(f"# manifest={manifest_hash}")
     lines.append("t,object," + ",".join(f"x{k + 1}" for k in range(p)))
-    for k, t in enumerate(grid):
-        for i, label in enumerate(labels):
-            coords = ",".join(_FLOAT.format(v) for v in positions[k, i])
-            lines.append(f"{_FLOAT.format(t)},{_label_cell(label)},{coords}")
+    cells = [_label_cell(label) for label in labels]
+    row = "{},{}," + ",".join([_FLOAT] * p)
+    for t, points in zip(grid, positions):
+        # one list of Python floats per grid point, never the whole array:
+        # they format to the same bytes as numpy's scalars
+        time = _FLOAT.format(t)
+        lines.extend(row.format(time, cell, *coords)
+                     for cell, coords in zip(cells, points.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

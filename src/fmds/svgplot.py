@@ -24,13 +24,20 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+_POINT = "{:.6g},{:.6g}"
+
+
 def _escape(text) -> str:
     """A label or title as SVG text content (xml.sax.saxutils would pull in urllib)."""
     return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 class _Frame:
-    """Affine map from data coordinates to pixel coordinates, plus axes."""
+    """Affine map from data coordinates to pixel coordinates, plus axes.
+
+    ``px`` and ``py`` take a float or an array; an array gets the same
+    IEEE operations, so its entries are the floats a scalar call returns.
+    """
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray):
         self.x_lo, self.x_hi = _padded_range(xs)
@@ -121,15 +128,15 @@ def scatter_svg(points: np.ndarray, labels=None, title: str = "",
     pts = _project(np.asarray(points, dtype=float))
     frame = _Frame(pts[:, 0], pts[:, 1])
     body = frame.axes("dimension 1", "dimension 2")
-    for i, (x, y) in enumerate(pts):
+    xs, ys = frame.px(pts[:, 0]).tolist(), frame.py(pts[:, 1]).tolist()
+    for i, (x, y) in enumerate(zip(xs, ys)):
         color = _PALETTE[i % len(_PALETTE)]
         body.append(
-            f'<circle cx="{_fmt(frame.px(x))}" cy="{_fmt(frame.py(y))}" r="4" '
-            f'fill="{color}" fill-opacity="0.8"/>'
+            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="{color}" fill-opacity="0.8"/>'
         )
         if labels is not None:
             body.append(
-                f'<text x="{_fmt(frame.px(x) + 6)}" y="{_fmt(frame.py(y) - 6)}" '
+                f'<text x="{_fmt(x + 6)}" y="{_fmt(y - 6)}" '
                 f'font-size="10" fill="#333">{_escape(labels[i])}</text>'
             )
     return _document(body, title, comments or [])
@@ -143,12 +150,14 @@ def multiline_svg(x: np.ndarray, series: np.ndarray, labels, title: str = "",
     series = np.asarray(series, dtype=float)
     frame = _Frame(x, series)
     body = frame.axes(xlabel, ylabel)
+    xs = frame.px(x).tolist()
     for i, row in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{_fmt(frame.px(xv))},{_fmt(frame.py(yv))}" for xv, yv in zip(x, row))
+        ys = frame.py(row).tolist()
+        pts = " ".join(map(_POINT.format, xs, ys))
         body.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         body.append(
-            f'<text x="{WIDTH - MARGIN + 4}" y="{_fmt(frame.py(row[-1]) + 4)}" '
+            f'<text x="{WIDTH - MARGIN + 4}" y="{_fmt(ys[-1] + 4)}" '
             f'font-size="10" fill="{color}">{_escape(labels[i])}</text>'
         )
     return _document(body, title, comments or [])
@@ -163,18 +172,16 @@ def paths2d_svg(paths: np.ndarray, labels, title: str = "",
     paths = np.asarray(paths, dtype=float)
     frame = _Frame(paths[:, :, 0], paths[:, :, 1])
     body = frame.axes("dimension 1", "dimension 2")
+    px, py = frame.px(paths[:, :, 0]), frame.py(paths[:, :, 1])
     for i in range(paths.shape[1]):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(
-            f"{_fmt(frame.px(x))},{_fmt(frame.py(y))}" for x, y in paths[:, i, :]
-        )
+        xs, ys = px[:, i].tolist(), py[:, i].tolist()
+        pts = " ".join(map(_POINT.format, xs, ys))
         body.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        x0, y0 = paths[0, i]
+        x0, y0 = xs[0], ys[0]
+        body.append(f'<circle cx="{_fmt(x0)}" cy="{_fmt(y0)}" r="4" fill="{color}"/>')
         body.append(
-            f'<circle cx="{_fmt(frame.px(x0))}" cy="{_fmt(frame.py(y0))}" r="4" fill="{color}"/>'
-        )
-        body.append(
-            f'<text x="{_fmt(frame.px(x0) + 6)}" y="{_fmt(frame.py(y0) - 6)}" '
+            f'<text x="{_fmt(x0 + 6)}" y="{_fmt(y0 - 6)}" '
             f'font-size="10" fill="{color}">{_escape(labels[i])}</text>'
         )
     return _document(body, title, comments or [])

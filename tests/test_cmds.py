@@ -149,10 +149,12 @@ class TestClassicalMds:
                 assert np.array_equal(solution.configuration, configuration)
 
     def test_sign_fix_leaves_negligible_columns(self):
-        from fmds.cmds import _fix_signs
+        from fmds.cmds import _fix_stacked_signs
 
         vectors = np.array([[-1e-13, -2e-13, 0.0], [5e-13, -3.0, -1e-14], [0.0, 1.0, -2.0]])
-        npt.assert_array_equal(_fix_signs(vectors), vectors * [1.0, -1.0, -1.0])
+        stack = np.stack([vectors, -vectors])
+        _fix_stacked_signs(stack)
+        npt.assert_array_equal(stack, [vectors * [1.0, -1.0, -1.0], -vectors])
 
     def test_eigensolver_residual(self):
         from fmds import double_center
@@ -189,3 +191,95 @@ class TestReconstruction:
         sol = classical_mds(DissimilarityMatrix(np.zeros((3, 3))), 1)
         recon = reconstructed_dissimilarity(sol)
         npt.assert_array_equal(recon.values, np.zeros((3, 3)))
+
+
+def _per_slice_mds(values, p):
+    """classical_mds as it ran before the stacked pass, one slice at a time:
+    configuration, eigenvalues and negative mass."""
+    a = -0.5 * values * values
+    b = a - a.mean(axis=1, keepdims=True) - a.mean(axis=0, keepdims=True) + a.mean()
+    evals, evecs = np.linalg.eigh((b + b.T) / 2.0)
+    big = np.abs(evecs) > 1e-12
+    cols = np.arange(evecs.shape[1])
+    first = np.argmax(big, axis=0)
+    evecs = np.where(big[first, cols] & (evecs[first, cols] < 0), -evecs, evecs)
+    order = np.lexsort(np.vstack((evecs[::-1], -evals)))
+    evals, evecs = evals[order], evecs[:, order]
+    configuration = evecs[:, :p] * np.sqrt(np.maximum(evals[:p], 0.0))
+    total = float(np.abs(evals).sum())
+    negative = float(np.abs(evals[evals < 0]).sum()) / total if total > 0 else 0.0
+    return configuration, evals, negative
+
+
+class TestStackedPass:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_blocks_match_per_slice_algorithm(self, p):
+        from fmds.cmds import _block_slices, _mds_blocks, _solution
+
+        rng = np.random.default_rng(30 + p)
+        n = 40
+        step = _block_slices(n)
+        noise = np.triu(rng.uniform(0.0, 2.0, (n, n)), 1)
+        # exact ties (zero matrix, regular simplex) and negative mass land in
+        # different blocks; the last block is short
+        special = {1: np.zeros((n, n)), step + 1: 1.0 - np.eye(n), 3 * step: noise + noise.T}
+        stack = np.stack([special.get(k, _random_cloud_matrix(rng, n, 3).values)
+                          for k in range(3 * step + 1)])
+        blocks = list(_mds_blocks(stack, p))
+        assert step > 1 and [len(c) for c, _ in blocks] == [step, step, step, 1]
+        stacked = [_solution(c, e, p) for cs, es in blocks for c, e in zip(cs, es)]
+        for values, solution in zip(stack, stacked):
+            configuration, evals, negative = _per_slice_mds(values, p)
+            single = classical_mds(DissimilarityMatrix(values), p)
+            for got in (solution, single):
+                assert np.array_equal(got.configuration, configuration)
+                assert np.array_equal(got.eigenvalues, evals)
+                assert got.negative_mass == negative
+                # the Procrustes product source.T @ target takes another BLAS
+                # path for a row-major configuration
+                for layout in ("F_CONTIGUOUS", "C_CONTIGUOUS"):
+                    assert got.configuration.flags[layout] == configuration.flags[layout]
+        assert stacked[3 * step].negative_mass > 0
+
+    def test_warm_start_matches_per_slice_loop(self):
+        from fmds import FitConfig, SyntheticScenario, generate, init_from_cmds
+        from fmds import rolling_dissimilarity_tensor
+        from fmds.bspline import _solve_least_squares, basis_matrix
+        from fmds.fitting import _procrustes_rotation, _resolve_layout
+
+        panel, _, _ = generate(SyntheticScenario("random_walk_smoothed", n=40, p_true=1, m=80,
+                                                 noise_sd=0.05, seed=3))
+        tensor = rolling_dissimilarity_tensor(panel, "correlation", 10)
+        for p in (1, 2, 3):
+            config = FitConfig(p=p)
+            knots, q = _resolve_layout(tensor, config)
+            m, n = tensor.num_times, tensor.n
+            aligned = np.empty((m, n, p))
+            for k, values in enumerate(tensor.values):
+                embedded = _per_slice_mds(values, p)[0]
+                if k:
+                    embedded = embedded @ _procrustes_rotation(embedded, aligned[k - 1])
+                aligned[k] = embedded
+            basis = basis_matrix(knots, tensor.time_grid).values
+            expected = _solve_least_squares(basis, aligned.reshape(m, n * p)).T.reshape(n, p, q)
+            assert np.array_equal(init_from_cmds(tensor, config).coefficients, expected)
+
+    def test_warm_start_peak_memory(self):
+        import tracemalloc
+
+        from fmds import FitConfig, SyntheticScenario, generate, init_from_cmds
+        from fmds import rolling_dissimilarity_tensor
+
+        panel, _, _ = generate(SyntheticScenario("random_walk_smoothed", n=40, p_true=1, m=800,
+                                                 noise_sd=0.05, seed=1))
+        tensor = rolling_dissimilarity_tensor(panel, "correlation", 10)
+        assert tensor.values.shape == (791, 40, 40)
+        tracemalloc.start()
+        try:
+            init_from_cmds(tensor, FitConfig(p=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 1.70 MiB, set by the least-squares smoothing; blocks of 54 slices
+        # made 1.95 MiB and of 109 slices 3.4 MiB
+        assert peak <= 0.2 * tensor.values.nbytes

@@ -299,6 +299,41 @@ class TestCorrelationExact:
         assert np.array_equal(single, expected[-1])
         assert np.array_equal(single, single.T) and np.all(np.diag(single) == 0.0)
 
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_blocks_match_single_windows(self, stride):
+        from fmds.dissimilarity import _block_windows
+
+        rng = np.random.default_rng(40 + stride)
+        n, window = 40, 10
+        step = _block_windows(n, window)
+        m = window + stride * (2 * step + 4)
+        values = np.cumsum(rng.normal(size=(n, m)), axis=1)
+        panel = _panel(values)
+        tensor = rolling_dissimilarity_tensor(panel, "correlation", window, stride)
+        starts = range(0, m - window + 1, stride)
+        # two full blocks and a short one
+        assert len(starts) == 2 * step + 5
+        expected = [correlation_dissimilarity(panel, (s, s + window)).values for s in starts]
+        assert np.array_equal(tensor.values, expected)
+        assert np.array_equal(tensor.values[-1], _pair_loop_slice(panel, starts[-1], m))
+
+        # objects 13 and 6 turn constant in one window of the second block
+        first = starts[step + 3]
+        values[12, first:first + window + 4] = 1.0
+        values[5, first:first + window] = 2.0
+        panel = _panel(values)
+        with pytest.raises(DegenerateSeries) as err:
+            rolling_dissimilarity_tensor(panel, "correlation", window, stride)
+        assert str(err.value) == f"object 's6' is constant on window ({first}, {first + window})"
+        messages = []
+        for s in starts:
+            try:
+                correlation_dissimilarity(panel, (s, s + window))
+            except DegenerateSeries as single:
+                messages.append(str(single))
+                break
+        assert messages == [str(err.value)]
+
     def test_degenerate_message_names_first_constant_object(self):
         panel = _panel([[1.0, 2.0, 3.0, 5.0], [4.0, 4.0, 4.0, 1.0], [2.0, 2.0, 2.0, 2.0]])
         with pytest.raises(DegenerateSeries) as err:

@@ -109,6 +109,19 @@ class TestStress:
         r = resid[np.triu_indices(tensor.n, 1)]
         assert _stress_value(coeffs, _squared_targets(tensor.values), basis) == float((r * r).sum())
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 8, 9])
+    def test_exactly_zero_at_own_squared_distances(self, p):
+        # targets equal to numpy's own sum over the last axis leave every
+        # residual exactly 0 only if the stress adds the p terms in that order
+        rng = np.random.default_rng(50 + p)
+        _, coeffs, kv = _random_instance(rng, n=30, m=9, p=p)
+        coeffs *= 10.0 ** rng.integers(-3, 4, coeffs.shape)
+        basis = basis_matrix(kv, np.linspace(0.0, 1.0, 9)).values
+        pos = np.einsum("ipq,kq->ikp", coeffs, basis)
+        h, j = np.triu_indices(30, 1)
+        diff = pos[h] - pos[j]
+        assert _stress_value(coeffs, (diff * diff).sum(axis=-1), basis) == 0.0
+
     def test_object_count_mismatch(self):
         rng = np.random.default_rng(2)
         tensor, coeffs, kv = _random_instance(rng, n=4)

@@ -174,6 +174,36 @@ def test_writers_quote_labels(tmp_path):
     assert "plain,1," in (tmp_path / "c.csv").read_text()
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_writers_format_rows_as_numpy_scalars(tmp_path, p):
+    # the per-value loop over numpy scalars the row templates replaced
+    rng = np.random.default_rng(p)
+    positions = rng.normal(size=(3, 4, p)) * 10.0 ** rng.integers(-300, 300, (3, 4, p))
+    positions.flat[:4] = [-0.0, 5e-324, -1.2345678901234567e-5, 1e300]
+    grid, labels = np.array([-0.0, 0.1, 1e17]), ("a", "b,c", "d", "e")
+    write_trajectories(grid, positions, labels, tmp_path / "t.csv", manifest_hash="h")
+    write_coordinates(positions[1], labels, tmp_path / "c.csv")
+    head = ",".join(f"x{k + 1}" for k in range(p))
+    trajectories = ["# manifest=h", "t,object," + head] + [
+        "{:.17g},{},".format(t, cell) + ",".join("{:.17g}".format(v) for v in positions[k, i])
+        for k, t in enumerate(grid) for i, cell in enumerate(("a", '"b,c"', "d", "e"))]
+    coordinates = ["object," + head] + [
+        cell + "," + ",".join("{:.17g}".format(v) for v in positions[1, i])
+        for i, cell in enumerate(("a", '"b,c"', "d", "e"))]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(trajectories) + "\n"
+    assert (tmp_path / "c.csv").read_text() == "\n".join(coordinates) + "\n"
+
+
+def test_svg_pixels_of_arrays_match_scalars():
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=50) * 10.0 ** rng.integers(-8, 8, 50)
+    frame = svgplot._Frame(values, values[::-1])
+    for px, x in zip(frame.px(values).tolist(), values):
+        assert f"{px:.6g}" == svgplot._fmt(frame.px(x))
+    for py, y in zip(frame.py(values).tolist(), values):
+        assert svgplot._POINT.format(py, py - 6) == f"{frame.py(y):.6g},{frame.py(y) - 6:.6g}"
+
+
 def test_svg_escapes_labels_and_titles():
     labels = ("A&B", "<c>")
     points = np.array([[0.0, 1.0], [1.0, 0.0]])
