@@ -225,8 +225,7 @@ def run_fmds_command(manifest: RunManifest) -> int:
     span = float(tensor.time_grid[-1] - tensor.time_grid[0])
     if span <= 0:
         raise ConfigError("fitting needs at least two distinct time points")
-    unit_grid = (tensor.time_grid - origin) / span
-    unit_tensor = DissimilarityTensor(unit_grid, tensor.values)
+    unit_tensor = tensor._on_grid((tensor.time_grid - origin) / span)
 
     result = fit(unit_tensor, manifest.fit_config())
 

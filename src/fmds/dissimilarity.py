@@ -9,6 +9,7 @@ reports but never enforces.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,25 @@ from .errors import ConfigError, DegenerateSeries, ShapeError, WindowTooLong
 # block's temporaries, about five (n, n) float arrays per window, within this
 # many bytes.
 _BLOCK_BYTES = 1 << 20
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether every entry is finite. A sum of finite values is finite
+    unless it overflows, so only then, or when the sum is inf or nan, does
+    the entrywise check run with its boolean temporary."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = values.sum()
+    return bool(np.isfinite(total)) or bool(np.isfinite(values).all())
+
+
+def _checked_grid(grid, size: int) -> np.ndarray:
+    """A tensor's time grid as a flat float array, for ``size`` slices."""
+    grid = np.asarray(grid, dtype=float).ravel()
+    if grid.size != size or grid.size == 0:
+        raise ShapeError("one matrix per time point required")
+    if grid.size > 1 and not np.all(np.diff(grid) > 0):
+        raise ShapeError("time grid must be strictly increasing")
+    return grid
 
 
 def _block_windows(n: int, length: int) -> int:
@@ -36,7 +56,7 @@ class DissimilarityMatrix:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ShapeError(f"dissimilarity matrix must be square, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
+        if not _all_finite(vals):
             raise ShapeError("dissimilarity matrix contains non-finite entries")
         object.__setattr__(self, "values", vals)
 
@@ -58,14 +78,18 @@ class DissimilarityTensor:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 3 or vals.shape[1] != vals.shape[2]:
             raise ShapeError(f"tensor must be (num_times, n, n), got shape {vals.shape}")
-        if grid.size != vals.shape[0] or grid.size == 0:
-            raise ShapeError("one matrix per time point required")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0):
-            raise ShapeError("time grid must be strictly increasing")
-        if not np.all(np.isfinite(vals)):
+        grid = _checked_grid(grid, vals.shape[0])
+        if not _all_finite(vals):
             raise ShapeError("dissimilarity tensor contains non-finite entries")
         object.__setattr__(self, "time_grid", grid)
         object.__setattr__(self, "values", vals)
+
+    def _on_grid(self, grid) -> DissimilarityTensor:
+        """The same values on another time grid. Only the grid is checked:
+        the values were checked when this tensor was made."""
+        tensor = copy.copy(self)
+        object.__setattr__(tensor, "time_grid", _checked_grid(grid, self.num_times))
+        return tensor
 
     @property
     def n(self) -> int:

@@ -33,6 +33,10 @@ _INT64 = range(-(2**63), 2**63)
 # lines before the header; loadtxt refuses a body line that holds one.
 _PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n\r"
 _SCAN_CHUNK = 1 << 20
+# Rows per np.loadtxt call while a file in write order streams into its
+# tensor: 64 KiB of parsed rows, below glibc's default 128 KiB mmap threshold,
+# so freeing a chunk does not raise that threshold for the rest of the run.
+_STREAM_ROWS = 1 << 11
 
 
 def _read_text(path) -> str:
@@ -201,14 +205,15 @@ def ingest_tensor(path) -> DissimilarityTensor:
     Object ids are arbitrary integers and are mapped to 0..n-1 in sorted
     order. The file must be UTF-8 text.
 
-    One ``np.loadtxt`` call parses a file of plain rows, as the writers make
-    them, straight from the file. Any file it refuses (quoted cells, comment
-    or whitespace-only lines in the body, non-ASCII text, ``int`` spellings
-    like ``1_0``) or that turns out invalid is read by the line scan, which
-    builds the same columns row by row or names the first faulty line.
+    ``np.loadtxt`` parses a file of plain rows, as the writers make them,
+    straight from the file: rows in write order stream into the tensor a
+    chunk at a time, and any other order is read whole and sorted. Any file
+    loadtxt refuses (quoted cells, comment or whitespace-only lines in the
+    body, non-ASCII text, ``int`` spellings like ``1_0``) or that turns out
+    invalid is read by the line scan, which builds the same columns row by
+    row or names the first faulty line.
     """
-    columns = _array_columns(path)
-    tensor = None if columns is None else _assemble_tensor(*columns)
+    tensor = _array_tensor(path)
     if tensor is None:
         tensor = _assemble_tensor(*_scan_columns(path))
     if tensor is None:
@@ -220,47 +225,158 @@ def _is_tensor_header(cells) -> bool:
     return [c.strip().lower() for c in cells] == ["t", "i", "j", "d"]
 
 
-def _array_columns(path):
-    """The t, i, j, d columns ``np.loadtxt`` parses from the file as it
-    stands, or None if it cannot.
+def _plain_lines(path) -> int | None:
+    """The number of lines in a file of ``_PLAIN`` bytes, split at '\n',
+    '\r' and '\r\n' as universal newlines splits them, or None for any
+    other file."""
+    lines = 0
+    last = b""
+    with open(path, "rb") as handle:
+        while chunk := handle.read(_SCAN_CHUNK):
+            if chunk.translate(None, _PLAIN):
+                return None
+            lines += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+            if b"\r" in chunk:
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+            if last == b"\r" and chunk.startswith(b"\n"):  # a '\r\n' split between chunks
+                lines -= 1
+            last = chunk[-1:]
+    # a last line without a line end (an empty file has no last byte)
+    return lines + (last not in b"\r\n")
+
+
+def _read_header(handle) -> int | None:
+    """Read a text handle through a plain t,i,j,d header that follows only
+    blank and '#' lines; the number of lines read, or None if there is no
+    such header."""
+    count = 0
+    while line := handle.readline():
+        count += 1
+        if (rest := line.lstrip()) and rest[0] != "#":
+            return count if _is_tensor_header(line.split(",")) else None
+    return None
+
+
+def _load_rows(handle, max_rows=None) -> np.ndarray:
+    return np.loadtxt(handle, delimiter=",", comments=None, dtype=_TENSOR_ROW, ndmin=1,
+                      max_rows=max_rows)
+
+
+def _array_tensor(path) -> DissimilarityTensor | None:
+    """The tensor ``np.loadtxt`` parses from the file as it stands, or None
+    if it cannot or the rows are invalid.
 
     That takes only ``_PLAIN`` bytes, and a plain t,i,j,d header after only
-    blank and '#' lines; loadtxt then reads the rest of the same handle and
-    must parse every line and find a row.
+    blank and '#' lines; loadtxt then reads the rest of the same handle.
+    Rows in write order stream into the tensor; any other body is read
+    again by one whole-file loadtxt call and checked by ``_assemble_tensor``.
+    A line loadtxt refuses is refused by both reads, so it ends the array
+    path at once.
     """
     try:
-        with open(path, "rb") as handle:
-            while chunk := handle.read(_SCAN_CHUNK):
-                if chunk.translate(None, _PLAIN):
+        lines = _plain_lines(path)
+        if lines is None:
+            return None
+        with warnings.catch_warnings():
+            # numpy < 2 parses an int cell such as 1.0 through float, with a warning
+            warnings.simplefilter("error", DeprecationWarning)
+            # an empty body warns; the line scan reports it
+            warnings.simplefilter("error", UserWarning)
+            with open(path, encoding="ascii") as handle:
+                header = _read_header(handle)
+                if header is None:
                     return None
-        with open(path, encoding="ascii") as handle:
-            for line in handle:
-                if (rest := line.lstrip()) and rest[0] != "#":
-                    break
-            else:
-                return None
-            if not _is_tensor_header(line.split(",")):
-                return None
-            with warnings.catch_warnings():
-                # numpy < 2 parses an int cell such as 1.0 through float, with a warning
-                warnings.simplefilter("error", DeprecationWarning)
-                # an empty body warns; the line scan reports it
-                warnings.simplefilter("error", UserWarning)
-                table = np.loadtxt(handle, delimiter=",", comments=None, dtype=_TENSOR_ROW,
-                                   ndmin=1)
+                tensor = _stream_tensor(handle, lines - header)
+            if tensor is not None:
+                return tensor
+            with open(path, encoding="ascii") as handle:
+                _read_header(handle)
+                table = _load_rows(handle)
     # a read fault is named by the line scan's read, a refused body by its rows
     except (OSError, ValueError, DeprecationWarning, UserWarning):
         return None
-    return table["t"], table["i"], table["j"], table["d"]
+    return _assemble_tensor(table["t"], table["i"], table["j"], table["d"])
+
+
+def _stream_tensor(handle, lines: int) -> DissimilarityTensor | None:
+    """The tensor of a body of ``lines`` rows in write order, parsed
+    ``_STREAM_ROWS`` rows at a time into one ``(m, n, n)`` array, or None if
+    the body is in any other order.
+
+    Write order is whole time blocks in strictly increasing time. The first
+    block fixes the ids and n: its (min, max) id pairs run through every
+    pair once, in ``np.triu_indices`` order of the sorted ids, and every
+    later block repeats that sequence. A blank line, a self row, a duplicate
+    or a row out of that order returns None; a line loadtxt refuses raises.
+    """
+
+    def take(count):
+        try:
+            rows = _load_rows(handle, count)
+        # a blank line: loadtxt skips it and warns that it reads on past it
+        except UserWarning:
+            return None
+        return rows if rows.size == count else None
+
+    rows = take(min(_STREAM_ROWS, lines)) if lines else None
+    if rows is None or not np.isfinite(t0 := rows["t"][0]):
+        return None
+    # the first time block ends where t first changes
+    parts = [rows]
+    read = rows.size
+    while read < lines and (rows["t"] == t0).all():
+        if (rows := take(min(_STREAM_ROWS, lines - read))) is None:
+            return None
+        parts.append(rows)
+        read += rows.size
+    rows = np.concatenate(parts) if len(parts) > 1 else rows
+    del parts
+    same = rows["t"] == t0
+    pairs = rows.size if same.all() else int(same.argmin())
+    lo = np.minimum(rows["i"][:pairs], rows["j"][:pairs])
+    hi = np.maximum(rows["i"][:pairs], rows["j"][:pairs])
+    ids = np.union1d(lo, hi)
+    n = ids.size
+    m, extra = divmod(lines, pairs)
+    a, b = np.triu_indices(n, 1)
+    if extra or a.size != pairs or (lo != ids[a]).any() or (hi != ids[b]).any():
+        return None
+
+    grid = np.empty(m)
+    values = np.zeros((m, n, n))
+    flat = values.reshape(-1)
+    upper, lower = a * n + b, b * n + a
+    del ids, a, b
+    start = 0
+    while True:
+        t, d = rows["t"], rows["d"]
+        if not (np.isfinite(t).all() and np.isfinite(d).all()) or (d < 0).any():
+            return None
+        block, pair = np.divmod(np.arange(start, start + rows.size), pairs)
+        # the first row of each block names its time, so a -0.0 there stays -0.0
+        first = pair == 0
+        grid[block[first]] = t[first]
+        if ((t != grid[block]).any() or (np.minimum(rows["i"], rows["j"]) != lo[pair]).any()
+                or (np.maximum(rows["i"], rows["j"]) != hi[pair]).any()):
+            return None
+        block *= n * n
+        flat[block + upper[pair]] = d
+        flat[block + lower[pair]] = d
+        start += rows.size
+        if start == lines:
+            break
+        if (rows := take(min(_STREAM_ROWS, lines - start))) is None:
+            return None
+    if not (grid[1:] > grid[:-1]).all():
+        return None
+    return DissimilarityTensor(grid, values)
 
 
 def _assemble_tensor(t, i, j, d) -> DissimilarityTensor | None:
     """The tensor that parsed rows describe, or None if they are invalid.
 
     A pair's value at a time point is its first row in file order; later
-    rows for that pair must agree with it within 1e-10. Rows that give each
-    pair once, in time then pair order with no self rows (as ``write_tensor``
-    writes them), need no sort.
+    rows for that pair must agree with it within 1e-10.
     """
     if not (np.isfinite(t).all() and np.isfinite(d).all()) or (d < 0).any():
         return None
@@ -284,19 +400,16 @@ def _assemble_tensor(t, i, j, d) -> DissimilarityTensor | None:
     key += np.searchsorted(ids, np.minimum(i, j))
     key *= n
     key += np.searchsorted(ids, np.maximum(i, j))
-    # strictly increasing keys take at most `pairs` distinct values, so
-    # they name every pair once, in order
-    if not (key[1:] > key[:-1]).all():
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        d = d[order]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        if starts.size != pairs:
-            return None
-        head = d[starts]
-        if (np.abs(np.repeat(head, np.diff(starts, append=key.size)) - d) > 1e-10).any():
-            return None
-        d = head
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    d = d[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    if starts.size != pairs:
+        return None
+    head = d[starts]
+    if (np.abs(np.repeat(head, np.diff(starts, append=key.size)) - d) > 1e-10).any():
+        return None
+    d = head
     del key
     # one value per pair key, and every key once: d runs in time, then
     # triu_indices order

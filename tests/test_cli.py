@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fmds import dissimilarity
 from fmds.cli import _FIELD_OF_FLAG, _manifest_from_args, build_parser, main, verify_command
 from fmds.io import ingest_tensor
 from fmds.manifest import RunManifest
@@ -152,6 +153,16 @@ class TestFmdsCommand:
                     "--eps", "1e30", "--out", out) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is True and summary["epochs_run"] == 1
+
+    def test_unit_grid_tensor_not_checked_again(self, rotation_tensor, tmp_path, monkeypatch):
+        checked = []
+        all_finite = dissimilarity._all_finite
+        monkeypatch.setattr(dissimilarity, "_all_finite",
+                            lambda values: checked.append(values.shape) or all_finite(values))
+        assert _run("fmds", "--input", rotation_tensor, "--knots", "2", "--max-epochs", "1",
+                    "--out", tmp_path / "f") == 0
+        # the ingest checks the tensor's values once; the unit-grid tensor keeps them
+        assert [shape for shape in checked if len(shape) == 3] == [(20, 4, 4)]
 
     def test_zero_epochs_rejected(self, rotation_tensor, tmp_path):
         assert _run("fmds", "--input", rotation_tensor, "--max-epochs", "0",

@@ -135,18 +135,44 @@ class TestTensorArray:
             ([0.0, 1.0], np.zeros((2, 3, 4))),
             ([0.0, 1.0], np.array([[[0.0, np.nan], [np.nan, 0.0]]] * 2)),
             ([0.0, 1.0], np.array([[[0.0, np.inf], [np.inf, 0.0]]] * 2)),
+            ([0.0, 1.0], np.array([[[0.0, np.inf], [-np.inf, 0.0]]] * 2)),
+            ([0.0, 1.0], np.array([[[1e308, 1e308], [np.nan, 0.0]]] * 2)),
             ([0.0, 1.0, 2.0], np.zeros((2, 3, 3))),
             ([0.0], np.zeros((2, 3, 3))),
             ([0.0, 0.0], np.zeros((2, 3, 3))),
             ([1.0, 0.0], np.zeros((2, 3, 3))),
             ([], np.zeros((0, 3, 3))),
         ],
-        ids=["not-3d", "non-square", "nan", "inf", "long-grid", "short-grid",
-             "repeated-time", "decreasing-grid", "empty"],
+        ids=["not-3d", "non-square", "nan", "inf", "inf-and-minus-inf", "nan-after-overflow",
+             "long-grid", "short-grid", "repeated-time", "decreasing-grid", "empty"],
     )
     def test_rejects(self, grid, values):
         with pytest.raises(ShapeError):
             DissimilarityTensor(grid, values)
+
+    @pytest.mark.parametrize("values", [np.array([[0.0, np.nan], [np.nan, 0.0]]),
+                                        np.array([[0.0, np.inf], [-np.inf, 0.0]]),
+                                        np.array([[1e308, 1e308], [np.inf, 0.0]])])
+    def test_matrix_rejects_non_finite(self, values):
+        with pytest.raises(ShapeError):
+            DissimilarityMatrix(values)
+
+    def test_finite_values_whose_sum_overflows_accepted(self):
+        # the sum overflows, so the entrywise check decides
+        values = np.full((2, 2, 2), 1e308)
+        assert np.shares_memory(DissimilarityTensor([0.0, 1.0], values).values, values)
+        assert np.shares_memory(DissimilarityMatrix(values[0]).values, values)
+
+    def test_on_grid_keeps_the_values_and_checks_only_the_grid(self):
+        values = np.zeros((3, 2, 2))
+        tensor = DissimilarityTensor([1.0, 2.0, 4.0], values)
+        moved = tensor._on_grid(np.array([0.0, 0.5, 1.5]))
+        assert moved.values is tensor.values
+        npt.assert_array_equal(moved.time_grid, [0.0, 0.5, 1.5])
+        npt.assert_array_equal(tensor.time_grid, [1.0, 2.0, 4.0])
+        for grid in ([0.0, 0.0, 1.0], [0.0, 1.0], [2.0, 1.0, 0.0]):
+            with pytest.raises(ShapeError):
+                tensor._on_grid(grid)
 
     def test_float_array_kept_without_copy(self):
         values = np.zeros((3, 2, 2))

@@ -1,6 +1,7 @@
 """Tests for file formats: panel/tensor ingestion, writers, SVG plots, manifests."""
 
 import csv
+import math
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
@@ -320,29 +321,113 @@ class TestIngestTensor:
         finally:
             tracemalloc.stop()
         # the line scan's per-row dict and tuples peaked at 161.5 MiB; the
-        # file's text and its list of lines next to loadtxt at 11.9x the tensor
+        # file's text and its list of lines next to loadtxt at 11.9x the
+        # tensor; one whole-file loadtxt table and the sort at 3.8x
         assert peak < 120 * 2**20
-        assert peak <= 6 * tensor.values.nbytes
+        assert peak <= 1.5 * tensor.values.nbytes
         assert back.stacked().tobytes() == tensor.stacked().tobytes()
 
-    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
-    def test_plain_files_are_read_straight_from_the_file(self, tmp_path, monkeypatch, end):
-        _, tensor, _ = generate(SyntheticScenario("smooth_rotation", n=6, m=4, seed=5))
+    # small byte chunks split '\r\n' line ends between two reads of the count
+    @pytest.mark.parametrize("stream_rows, scan_bytes", [
+        (fmds_io._STREAM_ROWS, fmds_io._SCAN_CHUNK), (3, 7), (1, 2)])
+    @pytest.mark.parametrize("n, m, end, variant", [
+        (6, 4, "\n", None),
+        (6, 4, "\r\n", None),
+        (6, 4, "\r", None),
+        (6, 4, "\n", "no_final_line_end"),
+        (6, 4, "\n", "minus_zero_time"),
+        (6, 4, "\r\n", "mirrored"),
+        (6, 1, "\n", None),
+        (2, 4, "\n", None),
+        (2, 1, "\r", "no_final_line_end"),
+    ], ids=["lf", "crlf", "cr", "no_final_line_end", "minus_zero_time", "mirrored", "m1", "n2",
+            "one_row"])
+    def test_plain_files_are_read_straight_from_the_file(self, tmp_path, monkeypatch,
+                                                         stream_rows, scan_bytes, n, m, end,
+                                                         variant):
+        _, tensor, _ = generate(SyntheticScenario("smooth_rotation", n=n, m=max(m, 2), seed=5))
+        tensor = DissimilarityTensor(tensor.time_grid[:m], tensor.values[:m])
         path = tmp_path / "t.csv"
         write_tensor(tensor, path, manifest_hash="abc")
-        path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+        lines = path.read_text().splitlines()
+        if variant == "minus_zero_time":
+            assert lines[2].startswith("0,")
+            lines[2] = "-" + lines[2]
+        elif variant == "mirrored":
+            lines[2::2] = [f"{t},{j},{i},{d}" for t, i, j, d in
+                           (line.split(",") for line in lines[2::2])]
+        final = "" if variant == "no_final_line_end" else end
+        path.write_bytes((end.join(lines) + final).encode())
+        expected = _ingest_outcome(_line_scan_tensor, path)
 
         def refuse(*args):
-            raise AssertionError("not read straight from the file")
+            raise AssertionError("not streamed straight from the file")
 
-        # neither the line list nor the csv reader runs, and rows in write
-        # order are not sorted
+        # neither the line list nor the csv reader runs, no row is sorted,
+        # and loadtxt reads at most stream_rows rows a call
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(k) or loadtxt(*a, **k))
+        monkeypatch.setattr(fmds_io, "_STREAM_ROWS", stream_rows)
+        monkeypatch.setattr(fmds_io, "_SCAN_CHUNK", scan_bytes)
         monkeypatch.setattr(fmds_io, "_read_text", refuse)
         monkeypatch.setattr(fmds_io, "_records", refuse)
         monkeypatch.setattr(np, "argsort", refuse)
         back = ingest_tensor(path)
-        assert back.time_grid.tobytes() == tensor.time_grid.tobytes()
+        assert all(k["max_rows"] <= stream_rows for k in calls)
+        assert len(calls) == math.ceil(m * n * (n - 1) // 2 / stream_rows)
+        assert (back.time_grid.tobytes(), back.stacked().tobytes()) == expected
         assert back.stacked().tobytes() == tensor.stacked().tobytes()
+        assert np.signbit(back.time_grid[0]) == (variant == "minus_zero_time")
+
+    @pytest.mark.parametrize("stream_rows", [fmds_io._STREAM_ROWS, 3, 1])
+    @pytest.mark.parametrize("variant, message", [
+        (lambda body: body[:7] + [""] + body[7:], None),
+        (lambda body: body[:7] + [body[8], body[7]] + body[9:], None),
+        (lambda body: body[:17] + [body[18], body[17]] + body[19:], None),
+        (lambda body: body[15:30] + body[:15] + body[30:], None),
+        (lambda body: body[:7] + ["0,3,3,0"] + body[7:], None),
+        (lambda body: body[:7] + [body[7]] + body[7:], None),
+        (lambda body: body[:7] + body[8:], "missing pair (2, 5) at t=0.0"),
+        (lambda body: body[:-1], "missing pair (5, 6) at t=1.0"),
+        (lambda body: body[:16] + [body[30].split(",")[0] + body[16][body[16].index(","):]]
+         + body[17:], "33: conflicting values for pair (1, 3) at t=0.6666666666666666: "
+         "1.8090980296387864 vs 1.4149710649153342"),
+        (lambda body: body[:7] + ["0,3,3,0.5"] + body[7:],
+         "9: nonzero self-dissimilarity for object 3"),
+    ], ids=["blank_line", "swapped_rows", "swapped_later_rows", "swapped_blocks", "self_row",
+            "duplicate", "missing_row", "missing_last_row", "row_at_a_later_time",
+            "nonzero_self_row"])
+    def test_files_out_of_write_order_take_the_whole_file_read(self, tmp_path, monkeypatch,
+                                                               stream_rows, variant, message):
+        _, tensor, _ = generate(SyntheticScenario("smooth_rotation", n=6, m=4, seed=5))
+        path = tmp_path / "t.csv"
+        write_tensor(tensor, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:1] + variant(lines[1:])) + "\n")
+        expected = _ingest_outcome(_line_scan_tensor, path)
+        monkeypatch.setattr(fmds_io, "_STREAM_ROWS", stream_rows)
+        if message is None:
+            def refuse(*args):
+                raise AssertionError("read by the line scan")
+
+            # a valid file is read whole by loadtxt, never by the line scan
+            monkeypatch.setattr(fmds_io, "_records", refuse)
+            back = ingest_tensor(path)
+            assert back.time_grid.tobytes() == tensor.time_grid.tobytes()
+            assert back.stacked().tobytes() == tensor.stacked().tobytes()
+        else:
+            assert expected.endswith(message)
+        assert _ingest_outcome(ingest_tensor, path) == expected
+
+    def test_loadtxt_reads_max_rows_and_leaves_the_rest_of_the_handle(self, tmp_path):
+        # the stream depends on it: a numpy that read ahead would fail here
+        # rather than send every file to the whole-file read
+        path = _write(tmp_path, "t.csv", "t,i,j,d\n" + "".join(f"{k},1,2,{k}\n" for k in range(7)))
+        with open(path, encoding="ascii") as handle:
+            assert fmds_io._read_header(handle) == 1
+            parts = [fmds_io._load_rows(handle, 3) for _ in range(3)]
+        assert [part["t"].tolist() for part in parts] == [[0, 1, 2], [3, 4, 5], [6]]
 
     @pytest.mark.parametrize("variant, loadtxt_calls", [
         (lambda lines: lines[:4] + ["# note\n"] + lines[4:], 1),
@@ -606,14 +691,18 @@ def _tensor_text(draw):
 
 
 if st is not None:
+    # 3-row chunks: the first time block spans several, and blocks straddle them
+    @pytest.mark.parametrize("stream_rows", [fmds_io._STREAM_ROWS, 3])
     @settings(deadline=None, max_examples=400)
     @given(data=st.data())
-    def test_ingest_tensor_matches_line_scan(tmp_path_factory, data):
+    def test_ingest_tensor_matches_line_scan(tmp_path_factory, stream_rows, data):
         text, fault = _tensor_text(data.draw)
         path = tmp_path_factory.mktemp("diff") / "t.csv"
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
         expected = _ingest_outcome(_line_scan_tensor, path)
-        assert _ingest_outcome(ingest_tensor, path) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fmds_io, "_STREAM_ROWS", stream_rows)
+            assert _ingest_outcome(ingest_tensor, path) == expected
         if fault in ("none", "quoted", "crlf"):
             assert not isinstance(expected, str)
         elif fault in ("negative", "conflict", "missing", "self", "cells", "float_id", "hash",
