@@ -14,21 +14,23 @@ block as on its own; ``classical_mds`` is the one-slice block.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dissimilarity import DissimilarityMatrix, euclidean_dissimilarity
+from .dissimilarity import DissimilarityMatrix, _slice_blocks, euclidean_dissimilarity
 from .errors import DimError, NumericalError, ShapeError
 
 _SIGN_FLOOR = 1e-12
 
-# A block takes as many slices as keep its temporaries, about three (n, n)
-# float arrays per slice, within this many bytes: 3 slices at n = 40. Blocks
-# of 20 slices there ran the walk about a fifth faster, but on panel_corr they
-# left the run's peak RSS 1.1 MiB higher in most runs (glibc's dynamic mmap
-# threshold: with it fixed, both block sizes match the per-slice loop).
+# A block takes as many slices as keep them and their temporaries, about four
+# (n, n) float arrays per slice, within this many bytes: 2 slices at n = 40.
+# Blocks of 20 slices there ran the walk about a fifth faster, but on
+# panel_corr they left the run's peak RSS 1.1 MiB higher in most runs (glibc's
+# dynamic mmap threshold: with it fixed, both block sizes match the per-slice
+# loop).
 _BLOCK_BYTES = 1 << 17
 
 
@@ -111,14 +113,23 @@ def _stacked_mds(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _block_slices(n: int) -> int:
     """Slices per block of ``_mds_blocks``."""
-    return max(1, _BLOCK_BYTES // (3 * 8 * n * n))
+    return max(1, _BLOCK_BYTES // (4 * 8 * n * n))
 
 
 def _mds_blocks(values: np.ndarray, p: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``_stacked_mds`` of a (m, n, n) stack, one block of slices at a time."""
-    step = _block_slices(values.shape[1])
-    for start in range(0, len(values), step):
-        yield _stacked_mds(values[start:start + step], p)
+    """``_stacked_mds`` of a (m, n, n) stack, one block of slices at a time.
+
+    ``values`` may instead be the condensed (n(n-1)/2, m) pairs of a
+    ``DissimilarityTensor``; each block's slices are then rebuilt from them.
+    """
+    if values.ndim == 3:
+        step = _block_slices(values.shape[1])
+        for start in range(0, len(values), step):
+            yield _stacked_mds(values[start:start + step], p)
+        return
+    n = (1 + math.isqrt(1 + 8 * len(values))) // 2
+    for block in _slice_blocks(values, n, _block_slices(n)):
+        yield _stacked_mds(block, p)
 
 
 def _solution(configuration: np.ndarray, eigenvalues: np.ndarray, p: int) -> CmdsSolution:

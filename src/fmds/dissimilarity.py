@@ -65,43 +65,97 @@ class DissimilarityMatrix:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
 class DissimilarityTensor:
-    """One (num_times, n, n) array of dissimilarity matrices, ``values[k]`` at
-    ``time_grid[k]``. A float64 array is kept as given, not copied."""
+    """Dissimilarity matrices on a time grid: ``values[k]`` is the (n, n)
+    matrix at ``time_grid[k]``.
 
-    time_grid: np.ndarray
-    values: np.ndarray
+    The constructor takes one (num_times, n, n) array and keeps a float64
+    array as given, not copied. Tensor ingest and the rolling metrics store
+    only the condensed pairs instead: one (n(n-1)/2, num_times) array of the
+    entries h < j in ``np.triu_indices`` order, half the size. Such a tensor
+    builds its ``values``, exactly symmetric with a zero diagonal, when they
+    are first read; ``n``, ``num_times`` and ``time_grid`` never build them.
+    """
 
-    def __post_init__(self):
-        grid = np.asarray(self.time_grid, dtype=float).ravel()
-        vals = np.asarray(self.values, dtype=float)
+    def __init__(self, time_grid, values):
+        vals = np.asarray(values, dtype=float)
         if vals.ndim != 3 or vals.shape[1] != vals.shape[2]:
             raise ShapeError(f"tensor must be (num_times, n, n), got shape {vals.shape}")
-        grid = _checked_grid(grid, vals.shape[0])
-        if not _all_finite(vals):
+        self._store(time_grid, vals.shape[1], vals, None)
+
+    @classmethod
+    def _from_pairs(cls, time_grid, pairs: np.ndarray, n: int) -> DissimilarityTensor:
+        """A tensor storing the condensed pairs of n objects, a float64
+        (n(n-1)/2, num_times) array kept as given."""
+        tensor = cls.__new__(cls)
+        tensor._store(time_grid, n, None, pairs)
+        return tensor
+
+    def _store(self, time_grid, n: int, values, pairs) -> None:
+        times = len(values) if pairs is None else pairs.shape[1]
+        self._time_grid = _checked_grid(time_grid, times)
+        if not _all_finite(values if pairs is None else pairs):
             raise ShapeError("dissimilarity tensor contains non-finite entries")
-        object.__setattr__(self, "time_grid", grid)
-        object.__setattr__(self, "values", vals)
+        self._n, self._values, self._pairs = n, values, pairs
 
     def _on_grid(self, grid) -> DissimilarityTensor:
         """The same values on another time grid. Only the grid is checked:
         the values were checked when this tensor was made."""
         tensor = copy.copy(self)
-        object.__setattr__(tensor, "time_grid", _checked_grid(grid, self.num_times))
+        tensor._time_grid = _checked_grid(grid, self.num_times)
         return tensor
 
     @property
+    def time_grid(self) -> np.ndarray:
+        return self._time_grid
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = next(_slice_blocks(self._pairs, self._n))
+        return self._values
+
+    @property
     def n(self) -> int:
-        return self.values.shape[1]
+        return self._n
 
     @property
     def num_times(self) -> int:
-        return self.time_grid.size
+        return self._time_grid.size
 
     def stacked(self) -> np.ndarray:
         """The (num_times, n, n) array itself, not a copy."""
         return self.values
+
+    @property
+    def _stored(self) -> np.ndarray:
+        """The condensed pairs when the tensor stores them, else the
+        (num_times, n, n) values."""
+        return self._values if self._pairs is None else self._pairs
+
+    def _slice_pairs(self):
+        """Each slice's entries h < j in ``np.triu_indices`` order, one 1-D
+        array per time point."""
+        if self._pairs is not None:
+            return iter(self._pairs.T)
+        h, j = np.triu_indices(self._n, 1)
+        return (values[h, j] for values in self._values)
+
+
+def _slice_blocks(pairs: np.ndarray, n: int, step: int | None = None):
+    """The exactly symmetric, zero-diagonal (n, n) matrices of the columns of
+    condensed pairs, ``step`` columns at a time (all at once by default),
+    each block rebuilt in one reused buffer."""
+    step = step or pairs.shape[1]
+    h, j = np.triu_indices(n, 1)
+    upper, lower = h * n + j, j * n + h
+    out = np.zeros((min(step, pairs.shape[1]), n, n))
+    flat = out.reshape(len(out), n * n)
+    for start in range(0, pairs.shape[1], step):
+        columns = pairs[:, start:start + step].T
+        flat[:len(columns), upper] = columns
+        flat[:len(columns), lower] = columns
+        yield out[:len(columns)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,8 +265,8 @@ def correlation(y_i, y_j) -> float:
 
 def _correlation_windows(panel: ObjectPanel, start: int, count: int, stride: int,
                          length: int) -> np.ndarray:
-    """Correlation dissimilarities (count, n, n) of the windows of ``length``
-    starting at start, start + stride, ..., as one stacked pass.
+    """Condensed correlation dissimilarities (n(n-1)/2, count) of the windows
+    of ``length`` starting at start, start + stride, ..., as one stacked pass.
 
     Every step acts on one window's series alone, so each slice has the
     same bits as the window computed on its own.
@@ -236,10 +290,8 @@ def _correlation_windows(panel: ObjectPanel, start: int, count: int, stride: int
     gram = (centered[:, :, None, None, :] @ centered[:, None, :, :, None])[..., 0, 0]
     scale = np.sqrt(sumsq)
     r = np.clip(gram / (scale[:, :, None] * scale[:, None, :]), -1.0, 1.0)
-    upper = np.triu((1.0 - r) / 2.0, 1)
-    # entries are >= 0, so adding the zero lower triangle changes no bit and
-    # leaves every slice exactly symmetric with an exactly zero diagonal
-    return upper + upper.transpose(0, 2, 1)
+    h, j = np.triu_indices(panel.n, 1)
+    return ((1.0 - r[:, h, j]) / 2.0).T
 
 
 def correlation_dissimilarity(panel: ObjectPanel, window: tuple[int, int]) -> DissimilarityMatrix:
@@ -257,7 +309,8 @@ def correlation_dissimilarity(panel: ObjectPanel, window: tuple[int, int]) -> Di
         raise ConfigError(f"window ({start}, {stop}) outside panel of length {panel.num_times}")
     if stop - start < 2:
         raise ConfigError("correlation window must cover at least 2 observations")
-    return DissimilarityMatrix(_correlation_windows(panel, start, 1, 1, stop - start)[0])
+    pairs = _correlation_windows(panel, start, 1, 1, stop - start)
+    return DissimilarityMatrix(next(_slice_blocks(pairs, panel.n))[0])
 
 
 def rolling_dissimilarity_tensor(
@@ -273,7 +326,7 @@ def rolling_dissimilarity_tensor(
     feature vectors (a length-1 window reduces to per-timepoint absolute
     differences); with ``metric="correlation"`` each slice is the
     correlation dissimilarity of the window, built a block of windows at
-    a time.
+    a time. The tensor stores the condensed pairs.
     """
     if metric not in ("euclidean", "correlation"):
         raise ConfigError(f"unknown metric {metric!r}")
@@ -286,18 +339,19 @@ def rolling_dissimilarity_tensor(
         raise ConfigError(f"window of {window_len} too short for metric {metric!r}")
 
     count = len(range(window_len, m + 1, stride))
-    values = np.empty((count, panel.n, panel.n))
+    pairs = np.empty((panel.n * (panel.n - 1) // 2, count))
     if metric == "correlation":
         step = _block_windows(panel.n, window_len)
         for first in range(0, count, step):
-            block = values[first:first + step]
-            block[...] = _correlation_windows(panel, first * stride, len(block), stride,
+            block = pairs[:, first:first + step]
+            block[...] = _correlation_windows(panel, first * stride, block.shape[1], stride,
                                               window_len)
     else:
-        for k, out in enumerate(values):
-            start = k * stride
-            out[...] = euclidean_dissimilarity(panel.values[:, start:start + window_len]).values
-    return DissimilarityTensor(panel.time_grid[window_len - 1::stride], values)
+        h, j = np.triu_indices(panel.n, 1)
+        for k, out in enumerate(pairs.T):
+            window = panel.values[:, k * stride:k * stride + window_len]
+            out[...] = euclidean_dissimilarity(window).values[h, j]
+    return DissimilarityTensor._from_pairs(panel.time_grid[window_len - 1::stride], pairs, panel.n)
 
 
 def validate(matrix: DissimilarityMatrix, tol: float = 1e-10) -> ValidityReport:

@@ -42,6 +42,12 @@ CUBIC_ORDER = 4
 # Adam's shift of the denominator sqrt(v_hat) away from zero
 _DENOM_SHIFT = 1e-8
 
+# numpy sums a contiguous float64 array pairwise: it splits a range at half
+# its length, rounded down to a multiple of 8, down to blocks of 128. A range
+# of at most this many elements is a leaf of ``_pairwise_sum``: one np.sum,
+# which follows the same tree inside it.
+_LEAF = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSet:
@@ -187,36 +193,97 @@ def _squared_targets(values: np.ndarray) -> np.ndarray:
     return np.square(dsq, out=dsq)
 
 
+def _tensor_targets(tensor: DissimilarityTensor) -> np.ndarray:
+    """``_squared_targets`` of a tensor, squared from its condensed pairs
+    when it stores them."""
+    stored = tensor._stored
+    return np.square(stored) if stored.ndim == 2 else _squared_targets(stored)
+
+
+def _tree_sum(size: int, leaf_sum):
+    """numpy's pairwise sum of ``size`` elements, given ``leaf_sum(k)``, the
+    np.sum of the next leaf's k elements."""
+    if size <= _LEAF:
+        return leaf_sum(size)
+    half = size // 2 - size // 2 % 8
+    return _tree_sum(half, leaf_sum) + _tree_sum(size - half, leaf_sum)
+
+
+def _pairwise_sum(chunks, size: int) -> float:
+    """``np.sum`` of the concatenated 1-D float64 arrays that the iterator
+    ``chunks`` yields, ``size`` elements in all, bit for bit: each leaf is
+    summed by np.sum, from its chunk or, if it spans chunks, from a copy,
+    and the leaf sums are added in the tree's order."""
+    if not size:
+        return 0.0
+    rest = np.empty(0)
+    leaf = None
+
+    def leaf_sum(size):
+        nonlocal rest, leaf
+        if not rest.size:
+            rest = next(chunks)
+        if rest.size >= size:
+            total = rest[:size].sum()
+            rest = rest[size:]
+            return total
+        if leaf is None:
+            leaf = np.empty(_LEAF)
+        filled = 0
+        while filled < size:
+            if not rest.size:
+                rest = next(chunks)
+            take = min(size - filled, rest.size)
+            leaf[filled:filled + take] = rest[:take]
+            rest = rest[take:]
+            filled += take
+        return leaf[:size].sum()
+
+    return float(_tree_sum(size, leaf_sum))
+
+
 def _stress_value(coeffs: np.ndarray, dsq: np.ndarray, basis: np.ndarray) -> float:
     """Squared stress of raw coefficient arrays against ``_squared_targets``.
 
-    The residuals fill one row-major (pairs, times) array, one object h at a
-    time, so no (pairs, times, p) difference array exists and the final sum
-    runs in the same order as a sum over the upper triangle of the full
-    pairwise residual tensor.
+    The residuals are formed for the pairs of a few objects h at a time, at
+    most about a leaf of them, and go to ``_pairwise_sum`` in row-major
+    (pairs, times) order, so no (pairs, times, p) difference array and no
+    full residual array exists, and the sum has the bits of np.sum over the
+    whole residual array.
     """
     pos = np.einsum("ipq,kq->ikp", coeffs, basis)
-    p = pos.shape[-1]
-    resid = np.empty(dsq.shape)
-    block = np.empty((pos.shape[0] - 1,) + pos.shape[1:])
-    start = 0
-    for h in range(pos.shape[0] - 1):
-        diff = block[h:]
-        rows = resid[start:start + diff.shape[0]]
-        start += diff.shape[0]
-        np.subtract(pos[h], pos[h + 1:], out=diff)
-        np.multiply(diff, diff, out=diff)
-        if 1 < p < 8:
-            # numpy sums a last axis shorter than 8 left to right, as these
-            # column adds do; from 8 on it sums pairwise
-            np.add(diff[..., 0], diff[..., 1], out=rows)
-            for c in range(2, p):
-                np.add(rows, diff[..., c], out=rows)
-        else:
-            np.sum(diff, axis=-1, out=rows)
-    np.subtract(dsq, resid, out=resid)
-    np.multiply(resid, resid, out=resid)
-    return float(resid.sum())
+    n, m, p = pos.shape
+    block = np.empty((n - 1, m, p))
+    resid = np.empty((max(n - 1, min(len(dsq), _LEAF // m)), m))
+
+    def residuals(done, filled):
+        rows = resid[:filled]
+        np.subtract(dsq[done:done + filled], rows, out=rows)
+        np.multiply(rows, rows, out=rows)
+        return rows.reshape(-1)
+
+    def chunks():
+        done = filled = 0
+        for h in range(n - 1):
+            if filled + n - 1 - h > len(resid):
+                yield residuals(done, filled)
+                done, filled = done + filled, 0
+            diff = block[h:]
+            rows = resid[filled:filled + len(diff)]
+            filled += len(diff)
+            np.subtract(pos[h], pos[h + 1:], out=diff)
+            np.multiply(diff, diff, out=diff)
+            if 1 < p < 8:
+                # numpy sums a last axis shorter than 8 left to right, as
+                # these column adds do; from 8 on it sums pairwise
+                np.add(diff[..., 0], diff[..., 1], out=rows)
+                for c in range(2, p):
+                    np.add(rows, diff[..., c], out=rows)
+            else:
+                np.sum(diff, axis=-1, out=rows)
+        yield residuals(done, filled)
+
+    return _pairwise_sum(chunks(), dsq.size)
 
 
 def _pair_grad(c_h: np.ndarray, c_j: np.ndarray, dsq_pair: np.ndarray,
@@ -268,7 +335,7 @@ def stress(coeffs: CoefficientSet, tensor: DissimilarityTensor) -> float:
     if tensor.n != coeffs.n:
         raise ShapeError(f"tensor has {tensor.n} objects but coefficients have {coeffs.n}")
     basis = basis_matrix(coeffs.knots, tensor.time_grid).values
-    return _stress_value(coeffs.coefficients, _squared_targets(tensor.values), basis)
+    return _stress_value(coeffs.coefficients, _tensor_targets(tensor), basis)
 
 
 def pair_stress(c_h, c_j, tensor: DissimilarityTensor, h: int, j: int,
@@ -339,7 +406,7 @@ def init_from_cmds(tensor: DissimilarityTensor, config: FitConfig) -> Coefficien
     m, n, p = tensor.num_times, tensor.n, config.p
 
     aligned = np.empty((m, n, p))
-    slices = (embedded for block, _ in _mds_blocks(tensor.values, p) for embedded in block)
+    slices = (embedded for block, _ in _mds_blocks(tensor._stored, p) for embedded in block)
     for k, embedded in enumerate(slices):
         aligned[k] = embedded @ _procrustes_rotation(embedded, aligned[k - 1]) if k else embedded
 
@@ -351,8 +418,9 @@ def init_from_cmds(tensor: DissimilarityTensor, config: FitConfig) -> Coefficien
 def _random_coefficients(tensor: DissimilarityTensor, config: FitConfig,
                          rng: np.random.Generator, q: int) -> np.ndarray:
     """Uniform coefficients on [-0.5, 0.5] scaled by the mean dissimilarity."""
-    iu = np.triu_indices(tensor.n, 1)
-    scale = float(np.mean([s[iu].mean() for s in tensor.values]))
+    # each slice's mean over a contiguous array, as numpy may sum a strided
+    # one in other blocks
+    scale = float(np.mean([np.ascontiguousarray(s).mean() for s in tensor._slice_pairs()]))
     if scale == 0.0:
         scale = 1.0
     return rng.uniform(-0.5, 0.5, size=(tensor.n, config.p, q)) * scale
@@ -497,7 +565,7 @@ def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
     knots, q = _resolve_layout(tensor, config)
     n = tensor.n
     basis = basis_matrix(knots, tensor.time_grid).values
-    dsq = _squared_targets(tensor.values)
+    dsq = _tensor_targets(tensor)
 
     rng = np.random.default_rng(config.rng_seed)
     if config.init_mode == "cmds_warm":
@@ -506,8 +574,11 @@ def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
         coeffs = _random_coefficients(tensor, config, rng, q)
 
     initial_stress = _stress_value(coeffs, dsq, basis)
-    # the stress with every object at one point: the data's own scale of stress
-    collapsed = float((dsq * dsq).sum())
+    # the stress with every object at one point: the data's own scale of
+    # stress, (dsq * dsq).sum() one leaf of squares at a time
+    flat = dsq.reshape(-1)
+    squares = (np.square(flat[k:k + _LEAF]) for k in range(0, flat.size, _LEAF))
+    collapsed = _pairwise_sum(squares, flat.size)
     overflow = STRESS_OVERFLOW * max(1.0, collapsed)
     adam = _PairwiseAdam(n, config.p, q, basis, config.alpha, config.gamma1, config.gamma2)
 

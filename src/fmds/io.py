@@ -32,6 +32,8 @@ _INT64 = range(-(2**63), 2**63)
 # splits exactly as str.splitlines does. '#' and '"' pass, for the comment
 # lines before the header; loadtxt refuses a body line that holds one.
 _PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+# every byte but the line ends to b"x", so b"x\n" and b"x\r" end non-empty lines
+_LINE_TEXT = bytes(b if b in b"\n\r" else ord("x") for b in range(256))
 _SCAN_CHUNK = 1 << 20
 # Rows per np.loadtxt call while a file in write order streams into its
 # tensor: 64 KiB of parsed rows, below glibc's default 128 KiB mmap threshold,
@@ -226,32 +228,35 @@ def _is_tensor_header(cells) -> bool:
 
 
 def _plain_lines(path) -> int | None:
-    """The number of lines in a file of ``_PLAIN`` bytes, split at '\n',
-    '\r' and '\r\n' as universal newlines splits them, or None for any
-    other file."""
+    """The number of non-empty lines in a file of ``_PLAIN`` bytes, split
+    at '\n', '\r' and '\r\n' as universal newlines splits them, or None
+    for any other file."""
     lines = 0
-    last = b""
+    last = b"\n"
     with open(path, "rb") as handle:
         while chunk := handle.read(_SCAN_CHUNK):
             if chunk.translate(None, _PLAIN):
                 return None
-            lines += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+            # count the line ends that follow a byte of text
             if b"\r" in chunk:
-                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
-            if last == b"\r" and chunk.startswith(b"\n"):  # a '\r\n' split between chunks
-                lines -= 1
+                text = (last + chunk).translate(_LINE_TEXT)
+                lines += text.count(b"x\n") + text.count(b"x\r")
+            else:
+                ends = np.frombuffer(chunk, np.uint8) == ord("\n")
+                lines += np.count_nonzero(ends[1:] > ends[:-1])
+                lines += bool(ends[0]) and last not in b"\r\n"
             last = chunk[-1:]
-    # a last line without a line end (an empty file has no last byte)
+    # a last line without a line end
     return lines + (last not in b"\r\n")
 
 
 def _read_header(handle) -> int | None:
     """Read a text handle through a plain t,i,j,d header that follows only
-    blank and '#' lines; the number of lines read, or None if there is no
-    such header."""
+    blank and '#' lines; the number of non-empty lines read, or None if
+    there is no such header."""
     count = 0
     while line := handle.readline():
-        count += 1
+        count += line != "\n"
         if (rest := line.lstrip()) and rest[0] != "#":
             return count if _is_tensor_header(line.split(",")) else None
     return None
@@ -282,6 +287,9 @@ def _array_tensor(path) -> DissimilarityTensor | None:
             warnings.simplefilter("error", DeprecationWarning)
             # an empty body warns; the line scan reports it
             warnings.simplefilter("error", UserWarning)
+            # a blank line warns that a max_rows read does not count it
+            warnings.filterwarnings("ignore", r"Input line \d+ contained no data and will not "
+                                    "be counted towards `max_rows", UserWarning)
             with open(path, encoding="ascii") as handle:
                 header = _read_header(handle)
                 if header is None:
@@ -300,20 +308,21 @@ def _array_tensor(path) -> DissimilarityTensor | None:
 
 def _stream_tensor(handle, lines: int) -> DissimilarityTensor | None:
     """The tensor of a body of ``lines`` rows in write order, parsed
-    ``_STREAM_ROWS`` rows at a time into one ``(m, n, n)`` array, or None if
-    the body is in any other order.
+    ``_STREAM_ROWS`` rows at a time into its condensed pairs, or None if the
+    body is in any other order.
 
     Write order is whole time blocks in strictly increasing time. The first
     block fixes the ids and n: its (min, max) id pairs run through every
     pair once, in ``np.triu_indices`` order of the sorted ids, and every
-    later block repeats that sequence. A blank line, a self row, a duplicate
-    or a row out of that order returns None; a line loadtxt refuses raises.
+    later block repeats that sequence. Blank lines are skipped. A self row,
+    a duplicate or a row out of that order returns None; a line loadtxt
+    refuses raises.
     """
 
     def take(count):
         try:
             rows = _load_rows(handle, count)
-        # a blank line: loadtxt skips it and warns that it reads on past it
+        # any warning but a blank line's
         except UserWarning:
             return None
         return rows if rows.size == count else None
@@ -343,9 +352,7 @@ def _stream_tensor(handle, lines: int) -> DissimilarityTensor | None:
         return None
 
     grid = np.empty(m)
-    values = np.zeros((m, n, n))
-    flat = values.reshape(-1)
-    upper, lower = a * n + b, b * n + a
+    condensed = np.empty((pairs, m))
     del ids, a, b
     start = 0
     while True:
@@ -359,9 +366,7 @@ def _stream_tensor(handle, lines: int) -> DissimilarityTensor | None:
         if ((t != grid[block]).any() or (np.minimum(rows["i"], rows["j"]) != lo[pair]).any()
                 or (np.maximum(rows["i"], rows["j"]) != hi[pair]).any()):
             return None
-        block *= n * n
-        flat[block + upper[pair]] = d
-        flat[block + lower[pair]] = d
+        condensed[pair, block] = d
         start += rows.size
         if start == lines:
             break
@@ -369,7 +374,7 @@ def _stream_tensor(handle, lines: int) -> DissimilarityTensor | None:
             return None
     if not (grid[1:] > grid[:-1]).all():
         return None
-    return DissimilarityTensor(grid, values)
+    return DissimilarityTensor._from_pairs(grid, condensed, n)
 
 
 def _assemble_tensor(t, i, j, d) -> DissimilarityTensor | None:
@@ -395,11 +400,12 @@ def _assemble_tensor(t, i, j, d) -> DissimilarityTensor | None:
     if count < t.size:
         pair = ~self_row
         t, i, j, d = t[pair], i[pair], j[pair], d[pair]
-    # every key is below m·n² ≤ 4·count, so it cannot overflow int64
-    key = np.searchsorted(times, t) * n
-    key += np.searchsorted(ids, np.minimum(i, j))
-    key *= n
+    # pair-major keys; every key is below n²·m ≤ 4·count, so it cannot
+    # overflow int64
+    key = np.searchsorted(ids, np.minimum(i, j)) * n
     key += np.searchsorted(ids, np.maximum(i, j))
+    key *= m
+    key += np.searchsorted(times, t)
     order = np.argsort(key, kind="stable")
     key = key[order]
     d = d[order]
@@ -409,15 +415,9 @@ def _assemble_tensor(t, i, j, d) -> DissimilarityTensor | None:
     head = d[starts]
     if (np.abs(np.repeat(head, np.diff(starts, append=key.size)) - d) > 1e-10).any():
         return None
-    d = head
-    del key
-    # one value per pair key, and every key once: d runs in time, then
-    # triu_indices order
-    a, b = np.triu_indices(n, 1)
-    values = np.zeros((m, n, n))
-    values[:, a, b] = d.reshape(m, -1)
-    values[:, b, a] = d.reshape(m, -1)
-    return DissimilarityTensor(grid, values)
+    # one value per pair key, and every key once: head runs in
+    # triu_indices order, then in time
+    return DissimilarityTensor._from_pairs(grid, head.reshape(-1, m), n)
 
 
 def _scan_columns(path):
@@ -489,10 +489,9 @@ def write_tensor(tensor: DissimilarityTensor, path, manifest_hash: str | None = 
     lines.append("t,i,j,d")
     rows, cols = np.triu_indices(tensor.n, 1)
     ids = [f",{i + 1},{j + 1}," for i, j in zip(rows.tolist(), cols.tolist())]
-    for t, slc in zip(tensor.time_grid, tensor.values):
+    for t, values in zip(tensor.time_grid, tensor._slice_pairs()):
         time = _FLOAT.format(t)
-        lines.extend(time + pair + _FLOAT.format(v)
-                     for pair, v in zip(ids, slc[rows, cols].tolist()))
+        lines.extend(time + pair + _FLOAT.format(v) for pair, v in zip(ids, values.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -161,8 +161,9 @@ class TestFmdsCommand:
                             lambda values: checked.append(values.shape) or all_finite(values))
         assert _run("fmds", "--input", rotation_tensor, "--knots", "2", "--max-epochs", "1",
                     "--out", tmp_path / "f") == 0
-        # the ingest checks the tensor's values once; the unit-grid tensor keeps them
-        assert [shape for shape in checked if len(shape) == 3] == [(20, 4, 4)]
+        # the ingest checks the tensor's condensed pairs once; the unit-grid
+        # tensor keeps them
+        assert checked == [(6, 20)]
 
     def test_zero_epochs_rejected(self, rotation_tensor, tmp_path):
         assert _run("fmds", "--input", rotation_tensor, "--max-epochs", "0",
@@ -216,6 +217,30 @@ class TestFmdsCommand:
                     "--knots", "2", "--max-epochs", "50", "--out", out) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["epochs_run"] >= 1
+
+
+    def test_panel_fit_peak_memory_is_two_condensed_arrays(self, tmp_path, capsys):
+        import tracemalloc
+
+        from fmds import SyntheticScenario, generate
+        from fmds.io import write_panel
+
+        panel, _, _ = generate(SyntheticScenario("random_walk_smoothed", n=40, p_true=1, m=400,
+                                                 noise_sd=0.05, seed=1))
+        write_panel(panel, tmp_path / "panel.csv")
+        tracemalloc.start()
+        try:
+            assert _run("fmds", "--input", tmp_path / "panel.csv", "--format", "wide_csv",
+                        "--metric", "correlation", "--window", "10", "--max-epochs", "2",
+                        "--out", tmp_path / "f") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        condensed = 40 * 39 // 2 * 391 * 8
+        # the (m, n, n) tensor, the squared targets and the stress's residual
+        # array peaked at 4.5x the condensed d; d, its squares and one leaf
+        # of residuals at 3.0x
+        assert peak <= 3.3 * condensed
 
 
 class TestVerify:

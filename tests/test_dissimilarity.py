@@ -180,6 +180,41 @@ class TestTensorArray:
         assert np.shares_memory(tensor.values, values)
         assert tensor.n == 2 and tensor.num_times == 3
 
+    @pytest.mark.parametrize("make", ["correlation", "euclidean", "ingest"])
+    def test_condensed_tensors_build_values_only_when_read(self, tmp_path, monkeypatch, make):
+        from fmds import dissimilarity
+
+        if make == "ingest":
+            _, generated, _ = generate(SyntheticScenario("smooth_rotation", n=5, m=6, seed=2))
+            write_tensor(generated, tmp_path / "t.csv")
+            tensor = ingest_tensor(tmp_path / "t.csv")
+        else:
+            rng = np.random.default_rng(6)
+            tensor = rolling_dissimilarity_tensor(_panel(rng.normal(size=(5, 9))), make, 4)
+        built = []
+        slice_blocks = dissimilarity._slice_blocks
+        monkeypatch.setattr(dissimilarity, "_slice_blocks",
+                            lambda *args: built.append(args) or slice_blocks(*args))
+        moved = tensor._on_grid(np.linspace(0.0, 1.0, 6))
+        assert (tensor.n, tensor.num_times, tensor.time_grid.size) == (5, 6, 6)
+        assert (moved.n, moved.num_times) == (5, 6)
+        # one (pairs, m) array of the entries h < j, shared by the moved tensor
+        assert tensor._stored.shape == (10, 6) and moved._stored is tensor._stored
+        assert built == []
+        values = tensor.values
+        assert len(built) == 1 and tensor.stacked() is values and tensor.values is values
+        h, j = np.triu_indices(5, 1)
+        assert np.array_equal(values.transpose(1, 2, 0)[h, j], tensor._stored)
+        assert np.array_equal(values, values.transpose(0, 2, 1))
+        assert not np.diagonal(values, axis1=1, axis2=2).any()
+
+    def test_condensed_values_checked(self):
+        pairs = np.array([[0.5, np.inf]])
+        with pytest.raises(ShapeError, match="non-finite"):
+            DissimilarityTensor._from_pairs([0.0, 1.0], pairs, 2)
+        with pytest.raises(ShapeError, match="one matrix per time point"):
+            DissimilarityTensor._from_pairs([0.0], pairs, 2)
+
     def test_stacked_is_the_array(self, tmp_path):
         rng = np.random.default_rng(5)
         panel = _panel(rng.normal(size=(4, 9)))

@@ -30,9 +30,11 @@ from fmds import (
     stress,
 )
 from fmds.fitting import (
+    _LEAF,
     _full_gradients,
     _PairwiseAdam,
     _pair_grad,
+    _pairwise_sum,
     _squared_targets,
     _stress_value,
 )
@@ -109,6 +111,23 @@ class TestStress:
         r = resid[np.triu_indices(tensor.n, 1)]
         assert _stress_value(coeffs, _squared_targets(tensor.values), basis) == float((r * r).sum())
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_bitwise_equal_to_full_residual_sum_over_many_leaves(self, p):
+        # 571,200 residuals: leaves at depths 3 and 4 of numpy's pairwise tree
+        rng = np.random.default_rng(70 + p)
+        tensor, coeffs, kv = _random_instance(rng, n=120, m=80, p=p, interior=6)
+        basis = basis_matrix(kv, tensor.time_grid).values
+        dsq = _squared_targets(tensor.values)
+        pos = np.einsum("ipq,kq->ikp", coeffs, basis)
+        h, j = np.triu_indices(tensor.n, 1)
+        diff = pos[h] - pos[j]
+        sq = diff[..., 0] * diff[..., 0]
+        for c in range(1, p):
+            sq += diff[..., c] * diff[..., c]
+        resid = dsq - sq
+        assert _tree_depth(resid.size) == 4
+        assert _stress_value(coeffs, dsq, basis) == float((resid * resid).sum())
+
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 8, 9])
     def test_exactly_zero_at_own_squared_distances(self, p):
         # targets equal to numpy's own sum over the last axis leave every
@@ -135,6 +154,44 @@ class TestStress:
         bad = CoefficientSet(coeffs[:, :, :4], small)
         with pytest.raises(OutOfDomain):
             stress(bad, tensor)
+
+
+def _tree_depth(size):
+    half = size // 2 - size // 2 % 8
+    return 0 if size <= _LEAF else 1 + max(_tree_depth(half), _tree_depth(size - half))
+
+
+class TestPairwiseSum:
+    """``_pairwise_sum`` rebuilds numpy's own pairwise summation tree; a numpy
+    that sums in another order fails here before it moves the stress."""
+
+    def _chunks(self, rng, flat):
+        cuts = np.sort(rng.integers(0, flat.size + 1, int(rng.integers(0, 6))))
+        return iter(np.split(flat, cuts))
+
+    def test_matches_np_sum_on_random_lengths(self):
+        rng = np.random.default_rng(90)
+        # every depth up to 6, lengths that are not multiples of 8, leaf edges
+        sizes = [1, 7, 8, 127, 129, _LEAF - 1, _LEAF, _LEAF + 1, _LEAF + 7, 2 * _LEAF + 9,
+                 *rng.integers(1, 3 * 10**6, 24), *rng.integers(1, 3 * _LEAF, 8)]
+        for size in sizes:
+            values = rng.uniform(size=int(size)) * 10.0 ** rng.integers(-8, 9, int(size))
+            total = _pairwise_sum(self._chunks(rng, values), values.size)
+            assert total == values.sum()
+        assert {_tree_depth(int(size)) for size in sizes} == set(range(7))
+        assert any(size % 8 for size in sizes if size > _LEAF)
+
+    @pytest.mark.parametrize("shape", [(79800, 50), (780, 791), (4950, 60), (3, 5), (1, 1)])
+    def test_matches_np_sum_on_condensed_arrays(self, shape):
+        rng = np.random.default_rng(shape[0])
+        values = rng.uniform(size=shape) ** 4
+        chunks = iter(values)  # one pair row at a time
+        assert _pairwise_sum(chunks, values.size) == values.sum()
+        assert _pairwise_sum(iter(values * values), values.size) == (values * values).sum()
+
+    def test_empty(self):
+        assert _pairwise_sum(iter(()), 0) == 0.0
+        assert _pairwise_sum(iter([np.empty(0), np.ones(3), np.empty(0), np.ones(2)]), 5) == 5.0
 
 
 class TestFullGradients:
@@ -421,6 +478,24 @@ class TestFit:
         assert fit_peak <= 20 * 2**20
         assert stress_peak <= 31 * 2**20
 
+    def test_peak_memory_at_n400_is_the_condensed_targets(self):
+        import tracemalloc
+
+        _, tensor, _ = generate(SyntheticScenario("smooth_rotation", n=400, m=50, seed=1))
+        h, j = np.triu_indices(tensor.n, 1)
+        pairs = DissimilarityTensor._from_pairs(tensor.time_grid,
+                                                tensor.values.transpose(1, 2, 0)[h, j], 400)
+        targets = pairs._stored.nbytes
+        tracemalloc.start()
+        try:
+            fit(pairs, FitConfig(max_epochs=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the full residual array next to the targets made 2.04x, and the
+        # divergence scale's (dsq * dsq) as much; 1.17x now
+        assert peak <= 1.5 * targets
+
     def test_stress_peak_memory_is_one_residual_array(self):
         import tracemalloc
 
@@ -437,8 +512,9 @@ class TestFit:
         finally:
             tracemalloc.stop()
         # the (pairs, m, p) difference array and its same-size gather made
-        # 4x the targets; the residuals alone are 1x
-        assert peak <= 1.1 * dsq.nbytes
+        # 4x the targets, the residual array 1.02x; one leaf of residuals
+        # next to one object's rows is 0.04x
+        assert peak <= 0.1 * dsq.nbytes
 
     def test_full_batch_agreement_fixture(self):
         # both optimizers polish the same warm start toward the shared

@@ -340,8 +340,11 @@ class TestIngestTensor:
         (6, 1, "\n", None),
         (2, 4, "\n", None),
         (2, 1, "\r", "no_final_line_end"),
+        (6, 4, "\n", "blank_lines"),
+        (6, 4, "\r\n", "blank_lines"),
+        (6, 4, "\r", "blank_lines"),
     ], ids=["lf", "crlf", "cr", "no_final_line_end", "minus_zero_time", "mirrored", "m1", "n2",
-            "one_row"])
+            "one_row", "blank_lines_lf", "blank_lines_crlf", "blank_lines_cr"])
     def test_plain_files_are_read_straight_from_the_file(self, tmp_path, monkeypatch,
                                                          stream_rows, scan_bytes, n, m, end,
                                                          variant):
@@ -356,6 +359,11 @@ class TestIngestTensor:
         elif variant == "mirrored":
             lines[2::2] = [f"{t},{j},{i},{d}" for t, i, j, d in
                            (line.split(",") for line in lines[2::2])]
+        elif variant == "blank_lines":
+            # before and after the header, in the first time block, runs of
+            # blank lines between blocks and at the end
+            for at, count in ((len(lines), 2), (18, 3), (15, 1), (5, 1), (2, 1), (1, 1), (0, 2)):
+                lines[at:at] = [""] * count
         final = "" if variant == "no_final_line_end" else end
         path.write_bytes((end.join(lines) + final).encode())
         expected = _ingest_outcome(_line_scan_tensor, path)
@@ -379,6 +387,41 @@ class TestIngestTensor:
         assert (back.time_grid.tobytes(), back.stacked().tobytes()) == expected
         assert back.stacked().tobytes() == tensor.stacked().tobytes()
         assert np.signbit(back.time_grid[0]) == (variant == "minus_zero_time")
+
+    def test_blank_line_in_a_write_order_file_streams(self, tmp_path, monkeypatch):
+        _, tensor, _ = generate(SyntheticScenario("smooth_rotation", n=100, m=60, seed=5))
+        path = tmp_path / "t.csv"
+        write_tensor(tensor, path, manifest_hash="abc")
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:1000] + ["\n"] + lines[1000:]))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sorted")
+
+        monkeypatch.setattr(np, "argsort", refuse)
+        tracemalloc.start()
+        try:
+            back = ingest_tensor(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole-file read and sort peaked at 25.2 MiB, 5.5x the tensor
+        assert peak <= 1.5 * tensor.values.nbytes
+        assert back.time_grid.tobytes() == tensor.time_grid.tobytes()
+        assert back.stacked().tobytes() == tensor.stacked().tobytes()
+
+    @pytest.mark.parametrize("scan_bytes", [fmds_io._SCAN_CHUNK, 1, 2, 3, 5])
+    def test_plain_lines_counts_non_empty_lines(self, tmp_path, monkeypatch, scan_bytes):
+        monkeypatch.setattr(fmds_io, "_SCAN_CHUNK", scan_bytes)
+        rng = np.random.default_rng(scan_bytes)
+        path = tmp_path / "t.csv"
+        for _ in range(40):
+            text = "".join(rng.choice(["a", "#", " ", "\n", "\r", "\r\n"], int(rng.integers(0, 30))))
+            path.write_bytes(text.encode())
+            lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            assert fmds_io._plain_lines(path) == sum(map(bool, lines))
+        path.write_bytes(b"t,i,j,d\n\x85\n")
+        assert fmds_io._plain_lines(path) is None
 
     @pytest.mark.parametrize("stream_rows", [fmds_io._STREAM_ROWS, 3, 1])
     @pytest.mark.parametrize("variant, message", [
