@@ -51,7 +51,6 @@ from .fitting import (
     EmbeddingTrajectory,
     FitConfig,
     FitResult,
-    default_interior_knots,
     evaluate_trajectories,
     fit,
     init_from_cmds,
@@ -97,7 +96,6 @@ __all__ = [
     "classical_mds",
     "correlation",
     "correlation_dissimilarity",
-    "default_interior_knots",
     "double_center",
     "euclidean_dissimilarity",
     "eval_basis",

@@ -182,7 +182,7 @@ def run_cmds_command(manifest: RunManifest) -> int:
     comments = _svg_comments(manifest)
 
     solutions = [_solution(configuration, eigenvalues, manifest.dim)
-                 for block in _mds_blocks(tensor._stored, manifest.dim)
+                 for block in _mds_blocks(tensor._pairs, manifest.dim)
                  for configuration, eigenvalues in zip(*block)]
 
     slice_summaries = []

@@ -116,19 +116,12 @@ def _block_slices(n: int) -> int:
     return max(1, _BLOCK_BYTES // (4 * 8 * n * n))
 
 
-def _mds_blocks(values: np.ndarray, p: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``_stacked_mds`` of a (m, n, n) stack, one block of slices at a time.
-
-    ``values`` may instead be the condensed (n(n-1)/2, m) pairs of a
-    ``DissimilarityTensor``; each block's slices are then rebuilt from them.
-    """
-    if values.ndim == 3:
-        step = _block_slices(values.shape[1])
-        for start in range(0, len(values), step):
-            yield _stacked_mds(values[start:start + step], p)
-        return
-    n = (1 + math.isqrt(1 + 8 * len(values))) // 2
-    for block in _slice_blocks(values, n, _block_slices(n)):
+def _mds_blocks(pairs: np.ndarray, p: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``_stacked_mds`` of the slices of a tensor's condensed
+    (n(n-1)/2, m) pairs, one block of slices at a time, each block rebuilt
+    from the pairs."""
+    n = (1 + math.isqrt(1 + 8 * len(pairs))) // 2
+    for block in _slice_blocks(pairs, n, _block_slices(n)):
         yield _stacked_mds(block, p)
 
 

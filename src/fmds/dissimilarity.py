@@ -69,34 +69,38 @@ class DissimilarityTensor:
     """Dissimilarity matrices on a time grid: ``values[k]`` is the (n, n)
     matrix at ``time_grid[k]``.
 
-    The constructor takes one (num_times, n, n) array and keeps a float64
-    array as given, not copied. Tensor ingest and the rolling metrics store
-    only the condensed pairs instead: one (n(n-1)/2, num_times) array of the
-    entries h < j in ``np.triu_indices`` order, half the size. Such a tensor
-    builds its ``values``, exactly symmetric with a zero diagonal, when they
-    are first read; ``n``, ``num_times`` and ``time_grid`` never build them.
+    A tensor stores only the condensed pairs: one float64
+    (n(n-1)/2, num_times) array of the entries h < j in ``np.triu_indices``
+    order. The constructor takes one (num_times, n, n) array whose slices are
+    exactly symmetric with a zero diagonal and copies its upper triangle.
+    ``values`` rebuilds the full array when first read; ``n``, ``num_times``
+    and ``time_grid`` never build it.
     """
 
     def __init__(self, time_grid, values):
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 3 or vals.shape[1] != vals.shape[2]:
             raise ShapeError(f"tensor must be (num_times, n, n), got shape {vals.shape}")
-        self._store(time_grid, vals.shape[1], vals, None)
+        h, j = np.triu_indices(vals.shape[1], 1)
+        self._store(time_grid, vals.shape[1], vals.transpose(1, 2, 0)[h, j])
+        # the stored entries are finite, so a non-finite entry elsewhere
+        # fails one of these
+        if not np.array_equal(vals, vals.transpose(0, 2, 1)) or vals.diagonal(0, 1, 2).any():
+            raise ShapeError("each slice must be exactly symmetric with a zero diagonal")
 
     @classmethod
     def _from_pairs(cls, time_grid, pairs: np.ndarray, n: int) -> DissimilarityTensor:
         """A tensor storing the condensed pairs of n objects, a float64
         (n(n-1)/2, num_times) array kept as given."""
         tensor = cls.__new__(cls)
-        tensor._store(time_grid, n, None, pairs)
+        tensor._store(time_grid, n, pairs)
         return tensor
 
-    def _store(self, time_grid, n: int, values, pairs) -> None:
-        times = len(values) if pairs is None else pairs.shape[1]
-        self._time_grid = _checked_grid(time_grid, times)
-        if not _all_finite(values if pairs is None else pairs):
+    def _store(self, time_grid, n: int, pairs: np.ndarray) -> None:
+        self._time_grid = _checked_grid(time_grid, pairs.shape[1])
+        if not _all_finite(pairs):
             raise ShapeError("dissimilarity tensor contains non-finite entries")
-        self._n, self._values, self._pairs = n, values, pairs
+        self._n, self._pairs, self._values = n, pairs, None
 
     def _on_grid(self, grid) -> DissimilarityTensor:
         """The same values on another time grid. Only the grid is checked:
@@ -126,20 +130,6 @@ class DissimilarityTensor:
     def stacked(self) -> np.ndarray:
         """The (num_times, n, n) array itself, not a copy."""
         return self.values
-
-    @property
-    def _stored(self) -> np.ndarray:
-        """The condensed pairs when the tensor stores them, else the
-        (num_times, n, n) values."""
-        return self._values if self._pairs is None else self._pairs
-
-    def _slice_pairs(self):
-        """Each slice's entries h < j in ``np.triu_indices`` order, one 1-D
-        array per time point."""
-        if self._pairs is not None:
-            return iter(self._pairs.T)
-        h, j = np.triu_indices(self._n, 1)
-        return (values[h, j] for values in self._values)
 
 
 def _slice_blocks(pairs: np.ndarray, n: int, step: int | None = None):
@@ -242,6 +232,13 @@ def euclidean_dissimilarity(points) -> DissimilarityMatrix:
     return DissimilarityMatrix(np.sqrt((diff * diff).sum(axis=-1)))
 
 
+def _power_of_two_scales(series: np.ndarray) -> np.ndarray:
+    """Per series along the last axis, the power of two that brings its
+    largest magnitude into [0.5, 1). Scaling by it is exact and leaves the
+    correlation unchanged, and the sums of squares then cannot overflow."""
+    return np.ldexp(1.0, -np.frexp(np.abs(series).max(axis=-1, keepdims=True))[1])
+
+
 def correlation(y_i, y_j) -> float:
     """Pearson correlation of two equal-length series.
 
@@ -253,6 +250,8 @@ def correlation(y_i, y_j) -> float:
         raise ShapeError(f"series lengths differ: {a.size} vs {b.size}")
     if a.size < 2:
         raise ShapeError("correlation needs at least 2 observations")
+    a = a * _power_of_two_scales(a)
+    b = b * _power_of_two_scales(b)
     da = a - a.mean()
     db = b - b.mean()
     ss_a = float(da @ da)
@@ -274,6 +273,7 @@ def _correlation_windows(panel: ObjectPanel, start: int, count: int, stride: int
     windows = np.lib.stride_tricks.sliding_window_view(panel.values, length, axis=1)
     # a C-ordered copy, so every windowed series is contiguous
     centered = windows[:, start:start + count * stride:stride].transpose(1, 0, 2).copy()
+    centered *= _power_of_two_scales(centered)
     centered -= centered.mean(axis=2, keepdims=True)
     sumsq = (centered * centered).sum(axis=2)
     constant = np.argwhere(sumsq == 0.0)

@@ -169,11 +169,6 @@ class EmbeddingTrajectory:
     fitted_dissimilarities: np.ndarray
 
 
-def default_interior_knots(num_times: int) -> int:
-    """Default interior knot count for a grid of the given size."""
-    return max(1, num_times // 10)
-
-
 def _fit_knots(grid: np.ndarray, interior_count: int) -> KnotVector:
     """Cubic knot vector spanning the grid with uniform interior knots."""
     a, b = float(grid[0]), float(grid[-1])
@@ -183,21 +178,6 @@ def _fit_knots(grid: np.ndarray, interior_count: int) -> KnotVector:
 
 # ---------------------------------------------------------------------------
 # objective and gradients
-
-
-def _squared_targets(values: np.ndarray) -> np.ndarray:
-    """Squared dissimilarities of the pairs h < j as one (pairs, times) array,
-    in ``triu_indices`` order: row h's pairs start at row h * (2n - h - 1) / 2."""
-    h, j = np.triu_indices(values.shape[1], 1)
-    dsq = values.transpose(1, 2, 0)[h, j]
-    return np.square(dsq, out=dsq)
-
-
-def _tensor_targets(tensor: DissimilarityTensor) -> np.ndarray:
-    """``_squared_targets`` of a tensor, squared from its condensed pairs
-    when it stores them."""
-    stored = tensor._stored
-    return np.square(stored) if stored.ndim == 2 else _squared_targets(stored)
 
 
 def _tree_sum(size: int, leaf_sum):
@@ -243,7 +223,8 @@ def _pairwise_sum(chunks, size: int) -> float:
 
 
 def _stress_value(coeffs: np.ndarray, dsq: np.ndarray, basis: np.ndarray) -> float:
-    """Squared stress of raw coefficient arrays against ``_squared_targets``.
+    """Squared stress of raw coefficient arrays against the squared condensed
+    pairs ``dsq``: row h * (2n - h - 1) / 2 + j - h - 1 holds pair (h, j).
 
     The residuals are formed for the pairs of a few objects h at a time, at
     most about a leaf of them, and go to ``_pairwise_sum`` in row-major
@@ -323,7 +304,9 @@ def _pair_targets(tensor: DissimilarityTensor, h: int, j: int,
         raise ShapeError("pair indices must differ")
     if not (0 <= h < tensor.n and 0 <= j < tensor.n):
         raise ShapeError(f"pair ({h}, {j}) outside object range [0, {tensor.n})")
-    return basis_matrix(knots, tensor.time_grid).values, tensor.values[:, h, j] ** 2
+    a, b = min(h, j), max(h, j)
+    row = a * (2 * tensor.n - a - 1) // 2 + b - a - 1
+    return basis_matrix(knots, tensor.time_grid).values, tensor._pairs[row] ** 2
 
 
 def stress(coeffs: CoefficientSet, tensor: DissimilarityTensor) -> float:
@@ -335,7 +318,7 @@ def stress(coeffs: CoefficientSet, tensor: DissimilarityTensor) -> float:
     if tensor.n != coeffs.n:
         raise ShapeError(f"tensor has {tensor.n} objects but coefficients have {coeffs.n}")
     basis = basis_matrix(coeffs.knots, tensor.time_grid).values
-    return _stress_value(coeffs.coefficients, _tensor_targets(tensor), basis)
+    return _stress_value(coeffs.coefficients, np.square(tensor._pairs), basis)
 
 
 def pair_stress(c_h, c_j, tensor: DissimilarityTensor, h: int, j: int,
@@ -379,7 +362,7 @@ def _resolve_layout(tensor: DissimilarityTensor, config: FitConfig) -> tuple[Kno
     interior = (
         config.interior_knots
         if config.interior_knots is not None
-        else default_interior_knots(tensor.num_times)
+        else max(1, tensor.num_times // 10)
     )
     q = CUBIC_ORDER + interior
     if tensor.num_times < q:
@@ -406,7 +389,7 @@ def init_from_cmds(tensor: DissimilarityTensor, config: FitConfig) -> Coefficien
     m, n, p = tensor.num_times, tensor.n, config.p
 
     aligned = np.empty((m, n, p))
-    slices = (embedded for block, _ in _mds_blocks(tensor._stored, p) for embedded in block)
+    slices = (embedded for block, _ in _mds_blocks(tensor._pairs, p) for embedded in block)
     for k, embedded in enumerate(slices):
         aligned[k] = embedded @ _procrustes_rotation(embedded, aligned[k - 1]) if k else embedded
 
@@ -420,7 +403,7 @@ def _random_coefficients(tensor: DissimilarityTensor, config: FitConfig,
     """Uniform coefficients on [-0.5, 0.5] scaled by the mean dissimilarity."""
     # each slice's mean over a contiguous array, as numpy may sum a strided
     # one in other blocks
-    scale = float(np.mean([np.ascontiguousarray(s).mean() for s in tensor._slice_pairs()]))
+    scale = float(np.mean([np.ascontiguousarray(s).mean() for s in tensor._pairs.T]))
     if scale == 0.0:
         scale = 1.0
     return rng.uniform(-0.5, 0.5, size=(tensor.n, config.p, q)) * scale
@@ -468,7 +451,7 @@ class _PairwiseAdam:
 
     def epoch(self, coeffs: np.ndarray, dsq: np.ndarray, rows) -> None:
         """Run one epoch over the rows h in the given order, updating ``coeffs``
-        in place; ``dsq`` holds the ``_squared_targets``."""
+        in place; ``dsq`` holds the squared condensed pairs."""
         n, _, p, q = self.moments.shape
         m = self.basis.shape[0]
         basis = self.basis
@@ -565,7 +548,7 @@ def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
     knots, q = _resolve_layout(tensor, config)
     n = tensor.n
     basis = basis_matrix(knots, tensor.time_grid).values
-    dsq = _tensor_targets(tensor)
+    dsq = np.square(tensor._pairs)
 
     rng = np.random.default_rng(config.rng_seed)
     if config.init_mode == "cmds_warm":

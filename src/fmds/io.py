@@ -489,7 +489,7 @@ def write_tensor(tensor: DissimilarityTensor, path, manifest_hash: str | None = 
     lines.append("t,i,j,d")
     rows, cols = np.triu_indices(tensor.n, 1)
     ids = [f",{i + 1},{j + 1}," for i, j in zip(rows.tolist(), cols.tolist())]
-    for t, values in zip(tensor.time_grid, tensor._slice_pairs()):
+    for t, values in zip(tensor.time_grid, tensor._pairs.T):
         time = _FLOAT.format(t)
         lines.extend(time + pair + _FLOAT.format(v) for pair, v in zip(ids, values.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -93,10 +93,11 @@ def generate(
     if scenario.noise_sd > 0:
         observed = truth + rng.normal(scale=scenario.noise_sd, size=truth.shape)
 
-    values = np.empty((scenario.m, scenario.n, scenario.n))
-    for k, out in enumerate(values):
-        out[...] = euclidean_dissimilarity(observed[:, k, :]).values
-    tensor = DissimilarityTensor(grid, values)
+    h, j = np.triu_indices(scenario.n, 1)
+    pairs = np.empty((h.size, scenario.m))
+    for k, out in enumerate(pairs.T):
+        out[...] = euclidean_dissimilarity(observed[:, k, :]).values[h, j]
+    tensor = DissimilarityTensor._from_pairs(grid, pairs, scenario.n)
 
     if scenario.p_true == 1:
         labels = tuple(f"o{i + 1}" for i in range(scenario.n))

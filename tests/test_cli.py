@@ -243,6 +243,45 @@ class TestFmdsCommand:
         assert peak <= 3.3 * condensed
 
 
+class TestNoFullTensor:
+    """No command builds a tensor's (m, n, n) ``values``: each works on the
+    condensed pairs."""
+
+    @pytest.fixture(autouse=True)
+    def values_raise(self, monkeypatch):
+        def values(tensor):
+            raise AssertionError("the (m, n, n) array was built")
+
+        monkeypatch.setattr(dissimilarity.DissimilarityTensor, "values", property(values))
+
+    @pytest.fixture
+    def panel(self, tmp_path):
+        out = tmp_path / "panel"
+        assert _run("synth", "--scenario", "random_walk_smoothed", "--n", "4", "--dim", "1",
+                    "--m", "16", "--seed", "3", "--out", out) == 0
+        return out / "panel.csv"
+
+    def test_fmds_on_a_tensor(self, rotation_tensor, tmp_path):
+        assert _run("fmds", "--input", rotation_tensor, "--knots", "2", "--max-epochs", "2",
+                    "--out", tmp_path / "f") == 0
+
+    def test_fmds_on_a_correlation_panel(self, panel, tmp_path):
+        assert _run("fmds", "--input", panel, "--format", "wide_csv", "--metric", "correlation",
+                    "--window", "4", "--dim", "1", "--knots", "1", "--max-epochs", "2",
+                    "--out", tmp_path / "f") == 0
+
+    def test_cmds(self, rotation_tensor, tmp_path):
+        assert _run("cmds", "--input", rotation_tensor, "--dim", "2", "--out", tmp_path / "c") == 0
+
+    @pytest.mark.parametrize("metric", ["euclidean", "correlation"])
+    def test_dissim(self, panel, tmp_path, metric):
+        assert _run("dissim", "--input", panel, "--format", "wide_csv", "--metric", metric,
+                    "--window", "4", "--out", tmp_path / "d") == 0
+
+    def test_verify(self, capsys):
+        assert _run("verify") == 0
+
+
 class TestVerify:
     def test_all_checks_pass(self, capsys):
         assert _run("verify") == 0

@@ -225,7 +225,8 @@ class TestStackedPass:
         special = {1: np.zeros((n, n)), step + 1: 1.0 - np.eye(n), 3 * step: noise + noise.T}
         stack = np.stack([special.get(k, _random_cloud_matrix(rng, n, 3).values)
                           for k in range(3 * step + 1)])
-        blocks = list(_mds_blocks(stack, p))
+        h, j = np.triu_indices(n, 1)
+        blocks = list(_mds_blocks(stack.transpose(1, 2, 0)[h, j], p))
         assert step > 1 and [len(c) for c, _ in blocks] == [step, step, step, 1]
         stacked = [_solution(c, e, p) for cs, es in blocks for c, e in zip(cs, es)]
         for values, solution in zip(stack, stacked):

@@ -89,6 +89,19 @@ class TestCorrelation:
         with pytest.raises(ShapeError):
             correlation([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_sum_of_squares_beyond_float_range(self, scale):
+        # the sum of squares of the first series overflows (underflows) unless
+        # it is scaled first
+        expected = correlation([1.0, -1.0, 1.0], [1.0, 2.0, 4.0])
+        got = correlation([scale, -scale, scale], [1.0, 2.0, 4.0])
+        assert got == pytest.approx(expected, rel=1e-15)
+        panel = _panel([[scale, -scale, scale], [1.0, 2.0, 4.0]])
+        tensor = rolling_dissimilarity_tensor(panel, "correlation", 3)
+        assert tensor._pairs[0, 0] == pytest.approx((1.0 - expected) / 2.0, rel=1e-15)
+        assert tensor._pairs[0, 0] == pytest.approx(0.40550888, abs=1e-8)
+        assert correlation_dissimilarity(panel, (0, 3)).values[0, 1] == tensor._pairs[0, 0]
+
 
 class TestCorrelationDissimilarity:
     def test_perfectly_correlated_pair(self):
@@ -159,26 +172,45 @@ class TestTensorArray:
 
     def test_finite_values_whose_sum_overflows_accepted(self):
         # the sum overflows, so the entrywise check decides
-        values = np.full((2, 2, 2), 1e308)
-        assert np.shares_memory(DissimilarityTensor([0.0, 1.0], values).values, values)
+        values = np.array([[[0.0, 1e308], [1e308, 0.0]]] * 2)
+        assert DissimilarityTensor([0.0, 1.0], values).values.tobytes() == values.tobytes()
         assert np.shares_memory(DissimilarityMatrix(values[0]).values, values)
+
+    @pytest.mark.parametrize(
+        "entry, change",
+        [((0, 0, 2), 0.5), ((1, 2, 1), 5e-324), ((0, 1, 0), np.nan),
+         ((0, 0, 0), 5e-324), ((1, 2, 2), np.nan), ((0, 1, 1), -1.0)],
+        ids=["upper", "lower-subnormal", "lower-nan", "diagonal-subnormal", "diagonal-nan",
+             "diagonal-negative"],
+    )
+    def test_rejects_asymmetric_or_nonzero_diagonal(self, entry, change):
+        values = np.zeros((2, 3, 3))
+        values[:, 0, 1] = values[:, 1, 0] = 1.0
+        values[entry] += change
+        with pytest.raises(ShapeError, match="symmetric with a zero diagonal"):
+            DissimilarityTensor([0.0, 1.0], values)
 
     def test_on_grid_keeps_the_values_and_checks_only_the_grid(self):
         values = np.zeros((3, 2, 2))
         tensor = DissimilarityTensor([1.0, 2.0, 4.0], values)
         moved = tensor._on_grid(np.array([0.0, 0.5, 1.5]))
-        assert moved.values is tensor.values
+        assert moved._pairs is tensor._pairs
+        assert moved.values.tobytes() == values.tobytes()
         npt.assert_array_equal(moved.time_grid, [0.0, 0.5, 1.5])
         npt.assert_array_equal(tensor.time_grid, [1.0, 2.0, 4.0])
         for grid in ([0.0, 0.0, 1.0], [0.0, 1.0], [2.0, 1.0, 0.0]):
             with pytest.raises(ShapeError):
                 tensor._on_grid(grid)
 
-    def test_float_array_kept_without_copy(self):
-        values = np.zeros((3, 2, 2))
+    def test_values_copied_and_rebuilt_exactly(self):
+        rng = np.random.default_rng(8)
+        values = np.stack([euclidean_dissimilarity(rng.normal(size=(4, 2))).values
+                           for _ in range(3)])
         tensor = DissimilarityTensor([0.0, 1.0, 2.0], values)
-        assert np.shares_memory(tensor.values, values)
-        assert tensor.n == 2 and tensor.num_times == 3
+        assert not np.shares_memory(tensor._pairs, values)
+        assert tensor._pairs.shape == (6, 3)
+        assert tensor.values.tobytes() == values.tobytes()
+        assert tensor.n == 4 and tensor.num_times == 3
 
     @pytest.mark.parametrize("make", ["correlation", "euclidean", "ingest"])
     def test_condensed_tensors_build_values_only_when_read(self, tmp_path, monkeypatch, make):
@@ -199,12 +231,12 @@ class TestTensorArray:
         assert (tensor.n, tensor.num_times, tensor.time_grid.size) == (5, 6, 6)
         assert (moved.n, moved.num_times) == (5, 6)
         # one (pairs, m) array of the entries h < j, shared by the moved tensor
-        assert tensor._stored.shape == (10, 6) and moved._stored is tensor._stored
+        assert tensor._pairs.shape == (10, 6) and moved._pairs is tensor._pairs
         assert built == []
         values = tensor.values
         assert len(built) == 1 and tensor.stacked() is values and tensor.values is values
         h, j = np.triu_indices(5, 1)
-        assert np.array_equal(values.transpose(1, 2, 0)[h, j], tensor._stored)
+        assert np.array_equal(values.transpose(1, 2, 0)[h, j], tensor._pairs)
         assert np.array_equal(values, values.transpose(0, 2, 1))
         assert not np.diagonal(values, axis1=1, axis2=2).any()
 

@@ -35,7 +35,6 @@ from fmds.fitting import (
     _PairwiseAdam,
     _pair_grad,
     _pairwise_sum,
-    _squared_targets,
     _stress_value,
 )
 from fmds.reference import AdamState, central_difference_gradient, naive_stress_and_grad
@@ -109,7 +108,7 @@ class TestStress:
         diff = pos[:, None] - pos[None, :]
         resid = np.moveaxis(dsq, 0, 2) - (diff * diff).sum(axis=-1)
         r = resid[np.triu_indices(tensor.n, 1)]
-        assert _stress_value(coeffs, _squared_targets(tensor.values), basis) == float((r * r).sum())
+        assert _stress_value(coeffs, np.square(tensor._pairs), basis) == float((r * r).sum())
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_bitwise_equal_to_full_residual_sum_over_many_leaves(self, p):
@@ -117,7 +116,7 @@ class TestStress:
         rng = np.random.default_rng(70 + p)
         tensor, coeffs, kv = _random_instance(rng, n=120, m=80, p=p, interior=6)
         basis = basis_matrix(kv, tensor.time_grid).values
-        dsq = _squared_targets(tensor.values)
+        dsq = np.square(tensor._pairs)
         pos = np.einsum("ipq,kq->ikp", coeffs, basis)
         h, j = np.triu_indices(tensor.n, 1)
         diff = pos[h] - pos[j]
@@ -201,7 +200,7 @@ class TestFullGradients:
         rng = np.random.default_rng(30 + 10 * n + p)
         tensor, coeffs, kv = _random_instance(rng, n=n, p=p, interior=2)
         basis = basis_matrix(kv, tensor.time_grid).values
-        got = _full_gradients(coeffs, _squared_targets(tensor.values), basis)
+        got = _full_gradients(coeffs, np.square(tensor._pairs), basis)
         _, expected = naive_stress_and_grad(CoefficientSet(coeffs, kv), tensor)
         npt.assert_allclose(got, np.stack(expected), rtol=1e-12, atol=0.0)
 
@@ -463,7 +462,7 @@ class TestFit:
         try:
             result = fit(tensor, FitConfig(max_epochs=1))
             _, fit_peak = tracemalloc.get_traced_memory()
-            dsq = _squared_targets(tensor.values)
+            dsq = np.square(tensor._pairs)
             basis = basis_matrix(result.coefficients.knots, tensor.time_grid).values
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -482,13 +481,10 @@ class TestFit:
         import tracemalloc
 
         _, tensor, _ = generate(SyntheticScenario("smooth_rotation", n=400, m=50, seed=1))
-        h, j = np.triu_indices(tensor.n, 1)
-        pairs = DissimilarityTensor._from_pairs(tensor.time_grid,
-                                                tensor.values.transpose(1, 2, 0)[h, j], 400)
-        targets = pairs._stored.nbytes
+        targets = tensor._pairs.nbytes
         tracemalloc.start()
         try:
-            fit(pairs, FitConfig(max_epochs=1))
+            fit(tensor, FitConfig(max_epochs=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -565,7 +561,7 @@ class TestPairwiseAdamKernel:
         init = init_from_cmds if init_mode == "cmds_warm" else init_random
         start = init(tensor, config)
         basis = basis_matrix(start.knots, tensor.time_grid).values
-        dsq = _squared_targets(tensor.values)
+        dsq = np.square(tensor._pairs)
         rng = np.random.default_rng(5)
         orders = [rng.permutation(n - 1) for _ in range(3)]
 
