@@ -196,7 +196,7 @@ def run_cmds_command(manifest: RunManifest) -> int:
             title=f"slice {k + 1} (t={t:g}), dim {manifest.dim}",
             comments=comments,
         )
-        (out / f"scatter_{tag}.svg").write_text(svg)
+        (out / f"scatter_{tag}.svg").write_text(svg, encoding="utf-8")
         slice_summaries.append({
             "index": k,
             "time": t,
@@ -273,11 +273,11 @@ def run_fmds_command(manifest: RunManifest) -> int:
             xlabel="t", ylabel=f"x{dim + 1}",
             comments=comments,
         )
-        (out / f"trajectories_dim{dim + 1}.svg").write_text(svg)
+        (out / f"trajectories_dim{dim + 1}.svg").write_text(svg, encoding="utf-8")
     if result.coefficients.p == 2:
         svg = svgplot.paths2d_svg(trajectory.positions, labels,
                                   title="embedding paths", comments=comments)
-        (out / "paths_2d.svg").write_text(svg)
+        (out / "paths_2d.svg").write_text(svg, encoding="utf-8")
 
     status = "converged" if result.converged else "epoch budget exhausted"
     print(f"{status} after {result.epochs_run} epochs; "

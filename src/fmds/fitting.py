@@ -18,6 +18,7 @@ spline coefficients, provides the warm start.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -161,12 +162,25 @@ class EmbeddingTrajectory:
     """Embedded positions over a grid and the dissimilarities they induce.
 
     ``positions`` has shape (num_times, n, p); ``fitted_dissimilarities``
-    stacks the (n, n) pairwise-distance matrix of each grid point.
+    stacks the (n, n) pairwise-distance matrix of each grid point. It is
+    computed when first read and then kept.
     """
 
     time_grid: np.ndarray
     positions: np.ndarray
-    fitted_dissimilarities: np.ndarray
+
+    @cached_property
+    def fitted_dissimilarities(self) -> np.ndarray:
+        n, p = self.positions.shape[1:]
+        # one grid point at a time, so no (points, n, n, p) difference tensor exists
+        fitted = np.empty((len(self.positions), n, n))
+        diff = np.empty((n, n, p))
+        for at, out in zip(self.positions, fitted):
+            np.subtract(at[:, None, :], at[None, :, :], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.sum(diff, axis=-1, out=out)
+            np.sqrt(out, out=out)
+        return fitted
 
 
 def _fit_knots(grid: np.ndarray, interior_count: int) -> KnotVector:
@@ -222,24 +236,27 @@ def _pairwise_sum(chunks, size: int) -> float:
     return float(_tree_sum(size, leaf_sum))
 
 
-def _stress_value(coeffs: np.ndarray, dsq: np.ndarray, basis: np.ndarray) -> float:
-    """Squared stress of raw coefficient arrays against the squared condensed
-    pairs ``dsq``: row h * (2n - h - 1) / 2 + j - h - 1 holds pair (h, j).
+def _stress_value(coeffs: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> float:
+    """Squared stress of raw coefficient arrays against the condensed pairs
+    of d: row h * (2n - h - 1) / 2 + j - h - 1 holds pair (h, j).
 
     The residuals are formed for the pairs of a few objects h at a time, at
     most about a leaf of them, and go to ``_pairwise_sum`` in row-major
     (pairs, times) order, so no (pairs, times, p) difference array and no
     full residual array exists, and the sum has the bits of np.sum over the
-    whole residual array.
+    whole residual array. The targets of those pairs are squared into a
+    buffer of the same size, so no squared copy of d exists either.
     """
     pos = np.einsum("ipq,kq->ikp", coeffs, basis)
     n, m, p = pos.shape
     block = np.empty((n - 1, m, p))
-    resid = np.empty((max(n - 1, min(len(dsq), _LEAF // m)), m))
+    resid = np.empty((max(n - 1, min(len(pairs), _LEAF // m)), m))
+    targets = np.empty_like(resid)
 
     def residuals(done, filled):
         rows = resid[:filled]
-        np.subtract(dsq[done:done + filled], rows, out=rows)
+        squares = np.square(pairs[done:done + filled], out=targets[:filled])
+        np.subtract(squares, rows, out=rows)
         np.multiply(rows, rows, out=rows)
         return rows.reshape(-1)
 
@@ -264,32 +281,33 @@ def _stress_value(coeffs: np.ndarray, dsq: np.ndarray, basis: np.ndarray) -> flo
                 np.sum(diff, axis=-1, out=rows)
         yield residuals(done, filled)
 
-    return _pairwise_sum(chunks(), dsq.size)
+    return _pairwise_sum(chunks(), pairs.size)
 
 
-def _pair_grad(c_h: np.ndarray, c_j: np.ndarray, dsq_pair: np.ndarray,
+def _pair_grad(c_h: np.ndarray, c_j: np.ndarray, d_pair: np.ndarray,
                basis: np.ndarray) -> np.ndarray:
     """Gradient of the pair objective with respect to the first matrix.
 
     The gradient with respect to the second matrix is exactly the negation.
     """
     u = (c_h - c_j) @ basis.T
-    resid = dsq_pair - (u * u).sum(axis=0)
+    resid = np.square(d_pair) - (u * u).sum(axis=0)
     return -4.0 * (u * resid) @ basis
 
 
-def _full_gradients(coeffs: np.ndarray, dsq: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def _full_gradients(coeffs: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Gradient of the full objective with respect to every coefficient matrix.
 
     Each pair's term -4 r (x_h - x_j) goes to h and, negated, to j. The
-    pairs are formed one object h at a time, as in ``_stress_value``.
+    pairs are formed one object h at a time, as in ``_stress_value``, and
+    their targets squared one row at a time.
     """
     pos = np.einsum("ipq,kq->ikp", coeffs, basis)
     force = np.zeros(pos.shape)
     start = 0
     for h in range(pos.shape[0] - 1):
         diff = pos[h] - pos[h + 1:]
-        rows = dsq[start:start + diff.shape[0]]
+        rows = np.square(pairs[start:start + diff.shape[0]])
         start += diff.shape[0]
         diff *= (rows - (diff * diff).sum(axis=-1))[..., None]
         force[h] += diff.sum(axis=0)
@@ -299,14 +317,14 @@ def _full_gradients(coeffs: np.ndarray, dsq: np.ndarray, basis: np.ndarray) -> n
 
 def _pair_targets(tensor: DissimilarityTensor, h: int, j: int,
                   knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
-    """The basis on the tensor's grid and the squared targets of pair (h, j)."""
+    """The basis on the tensor's grid and the d values of pair (h, j)."""
     if h == j:
         raise ShapeError("pair indices must differ")
     if not (0 <= h < tensor.n and 0 <= j < tensor.n):
         raise ShapeError(f"pair ({h}, {j}) outside object range [0, {tensor.n})")
     a, b = min(h, j), max(h, j)
     row = a * (2 * tensor.n - a - 1) // 2 + b - a - 1
-    return basis_matrix(knots, tensor.time_grid).values, tensor._pairs[row] ** 2
+    return basis_matrix(knots, tensor.time_grid).values, tensor._pairs[row]
 
 
 def stress(coeffs: CoefficientSet, tensor: DissimilarityTensor) -> float:
@@ -318,7 +336,7 @@ def stress(coeffs: CoefficientSet, tensor: DissimilarityTensor) -> float:
     if tensor.n != coeffs.n:
         raise ShapeError(f"tensor has {tensor.n} objects but coefficients have {coeffs.n}")
     basis = basis_matrix(coeffs.knots, tensor.time_grid).values
-    return _stress_value(coeffs.coefficients, np.square(tensor._pairs), basis)
+    return _stress_value(coeffs.coefficients, tensor._pairs, basis)
 
 
 def pair_stress(c_h, c_j, tensor: DissimilarityTensor, h: int, j: int,
@@ -327,8 +345,8 @@ def pair_stress(c_h, c_j, tensor: DissimilarityTensor, h: int, j: int,
 
     Summing over all pairs h < j recovers the full objective.
     """
-    basis, dsq_pair = _pair_targets(tensor, h, j, knots)
-    return _stress_value(np.array((c_h, c_j), dtype=float), dsq_pair[None], basis)
+    basis, d_pair = _pair_targets(tensor, h, j, knots)
+    return _stress_value(np.array((c_h, c_j), dtype=float), d_pair[None], basis)
 
 
 def pair_gradients(c_h, c_j, tensor: DissimilarityTensor, h: int, j: int,
@@ -339,8 +357,8 @@ def pair_gradients(c_h, c_j, tensor: DissimilarityTensor, h: int, j: int,
     since the objective depends on the matrices only through their
     difference.
     """
-    basis, dsq_pair = _pair_targets(tensor, h, j, knots)
-    g_h = _pair_grad(np.asarray(c_h, float), np.asarray(c_j, float), dsq_pair, basis)
+    basis, d_pair = _pair_targets(tensor, h, j, knots)
+    g_h = _pair_grad(np.asarray(c_h, float), np.asarray(c_j, float), d_pair, basis)
     return g_h, -g_h
 
 
@@ -449,9 +467,10 @@ class _PairwiseAdam:
         self.scratch = np.empty((n - 1, 2, p, q))
         self.increments = np.empty((n - 1, p, q))
 
-    def epoch(self, coeffs: np.ndarray, dsq: np.ndarray, rows) -> None:
+    def epoch(self, coeffs: np.ndarray, pairs: np.ndarray, rows) -> None:
         """Run one epoch over the rows h in the given order, updating ``coeffs``
-        in place; ``dsq`` holds the squared condensed pairs."""
+        in place; ``pairs`` holds the condensed pairs of d, whose row h is
+        squared into one reused buffer when the row starts."""
         n, _, p, q = self.moments.shape
         m = self.basis.shape[0]
         basis = self.basis
@@ -468,6 +487,7 @@ class _PairwiseAdam:
         m_hat, v_hat = scratch
         u, squares, sq_sum = np.empty((p, m)), np.empty((p, m)), np.empty(m)
         resid, weighted = np.empty(m), np.empty((p, m))
+        row_targets = np.empty((n - 1, m))
         first_square, *other_squares = squares
         coeff_rows = list(coeffs)
         grad_pairs = list(self.grads)
@@ -486,7 +506,7 @@ class _PairwiseAdam:
             width = n - 1 - h
             c_h, moments_h = coeff_rows[h], self.moments[h]
             first = h * (2 * n - h - 1) // 2
-            targets = dsq[first:first + width]
+            targets = np.square(pairs[first:first + width], out=row_targets[:width])
             t = int(self.step_counts[h]) - base
             for c_j, target, (g, g_sq), grads, correction in zip(
                     coeff_rows[h + 1:], targets, grad_rows, grad_pairs, corrections[t:]):
@@ -548,7 +568,8 @@ def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
     knots, q = _resolve_layout(tensor, config)
     n = tensor.n
     basis = basis_matrix(knots, tensor.time_grid).values
-    dsq = np.square(tensor._pairs)
+    # every kernel squares d as it reads it, so no squared copy exists
+    pairs = tensor._pairs
 
     rng = np.random.default_rng(config.rng_seed)
     if config.init_mode == "cmds_warm":
@@ -556,12 +577,13 @@ def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
     else:
         coeffs = _random_coefficients(tensor, config, rng, q)
 
-    initial_stress = _stress_value(coeffs, dsq, basis)
+    initial_stress = _stress_value(coeffs, pairs, basis)
     # the stress with every object at one point: the data's own scale of
-    # stress, (dsq * dsq).sum() one leaf of squares at a time
-    flat = dsq.reshape(-1)
-    squares = (np.square(flat[k:k + _LEAF]) for k in range(0, flat.size, _LEAF))
-    collapsed = _pairwise_sum(squares, flat.size)
+    # stress, the sum of d**4, squared twice a leaf of pairs at a time
+    step = max(1, _LEAF // tensor.num_times)
+    quartics = (np.square(np.square(pairs[k:k + step])).reshape(-1)
+                for k in range(0, len(pairs), step))
+    collapsed = _pairwise_sum(quartics, pairs.size)
     overflow = STRESS_OVERFLOW * max(1.0, collapsed)
     adam = _PairwiseAdam(n, config.p, q, basis, config.alpha, config.gamma1, config.gamma2)
 
@@ -572,11 +594,11 @@ def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
     for epoch in range(config.max_epochs):
         before = coeffs.copy()
         if config.baseline == "adam":
-            adam.epoch(coeffs, dsq, rng.permutation(n - 1))
+            adam.epoch(coeffs, pairs, rng.permutation(n - 1))
         else:
-            coeffs -= config.alpha * _full_gradients(coeffs, dsq, basis)
+            coeffs -= config.alpha * _full_gradients(coeffs, pairs, basis)
 
-        value = _stress_value(coeffs, dsq, basis)
+        value = _stress_value(coeffs, pairs, basis)
         epochs = epoch + 1
         if not np.isfinite(value) or value > overflow:
             raise DivergedError(f"stress {value} at epoch {epoch}", epoch=epoch)
@@ -598,17 +620,8 @@ def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
 
 
 def evaluate_trajectories(coeffs: CoefficientSet, grid) -> EmbeddingTrajectory:
-    """Evaluate embedded positions and induced dissimilarities on a grid."""
+    """Evaluate embedded positions on a grid; the dissimilarities they
+    induce are computed when first read."""
     pts = np.asarray(grid, dtype=float).ravel()
     basis = basis_matrix(coeffs.knots, pts).values
-    positions = np.einsum("ipq,kq->kip", coeffs.coefficients, basis)
-    n, p = positions.shape[1:]
-    # one grid point at a time, so no (points, n, n, p) difference tensor exists
-    fitted = np.empty((pts.size, n, n))
-    diff = np.empty((n, n, p))
-    for at, out in zip(positions, fitted):
-        np.subtract(at[:, None, :], at[None, :, :], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.sum(diff, axis=-1, out=out)
-        np.sqrt(out, out=out)
-    return EmbeddingTrajectory(pts, positions, fitted)
+    return EmbeddingTrajectory(pts, np.einsum("ipq,kq->kip", coeffs.coefficients, basis))

@@ -13,6 +13,7 @@ comments; writers use them to embed the producing manifest's hash.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -55,8 +56,9 @@ def _read_text(path) -> str:
         raise IngestError(f"{path}:{line}: not UTF-8 text (byte {data[exc.start]:#04x})") from None
 
 
-def _records(raw: str) -> list[tuple[int, list[str]]]:
-    """CSV records of a file's text, each with the 1-based line it starts on.
+def _records(raw: str):
+    """Yield the CSV records of a file's text one at a time, each with the
+    1-based line it starts on.
 
     Blank lines and lines starting with '#' are skipped between records;
     inside a quoted cell they belong to the cell, so a quoted label may hold
@@ -78,7 +80,6 @@ def _records(raw: str) -> list[tuple[int, list[str]]]:
             consumed.append(line)
             yield line
 
-    records = []
     # the reader pulls lines only until its current record is complete
     for row in csv.reader(lines()):
         text = "".join(consumed)
@@ -90,8 +91,7 @@ def _records(raw: str) -> list[tuple[int, list[str]]]:
         end = text[-1:]
         if len(cells) - 1 in quoted and end not in "\r\n" and end.splitlines() == [""]:
             cells[-1] = cells[-1].removesuffix(end)
-        records.append((start.pop(), cells))
-    return records
+        yield start.pop(), cells
 
 
 def _quoted_cells(text: str) -> set[int]:
@@ -133,11 +133,13 @@ def ingest_panel(path) -> ObjectPanel:
     The header row carries time labels (parsed as numbers when they all
     are; otherwise the grid falls back to 1..m); the first column carries
     object labels; the body must be fully numeric with no missing cells.
+    Each record is converted as soon as it is read.
     """
-    rows = _records(_read_text(path))
-    if len(rows) < 2:
+    records = _records(_read_text(path))
+    header_line, header = next(records, (None, None))
+    first = next(records, None)
+    if first is None:
         raise IngestError(f"{path}: need a header row and at least one object row")
-    header_line, header = rows[0]
     if len(header) < 2:
         raise IngestError(f"{path}:{header_line}: header must list at least one time label")
     time_labels = header[1:]
@@ -155,8 +157,8 @@ def ingest_panel(path) -> ObjectPanel:
         grid = np.arange(1.0, m + 1.0)
 
     labels: list[str] = []
-    values = np.empty((len(rows) - 1, m))
-    for r, (lineno, cells) in enumerate(rows[1:]):
+    values = []
+    for r, (lineno, cells) in enumerate(itertools.chain([first], records)):
         if len(cells) != m + 1:
             raise IngestError(
                 f"{path}:{lineno}: expected {m + 1} cells, found {len(cells)}"
@@ -167,6 +169,7 @@ def ingest_panel(path) -> ObjectPanel:
         if label in labels:
             raise IngestError(f"{path}:{lineno}: duplicate object label {label!r}")
         labels.append(label)
+        row = np.empty(m)
         for c, cell in enumerate(cells[1:]):
             if cell == "":
                 raise IngestError(
@@ -184,18 +187,26 @@ def ingest_panel(path) -> ObjectPanel:
                     f"{path}:{lineno}: non-finite value {cell!r} at row {r + 2}, "
                     f"column {c + 2}"
                 )
-            values[r, c] = value
-    return ObjectPanel(tuple(labels), values, grid)
+            row[c] = value
+        values.append(row)
+    return ObjectPanel(tuple(labels), np.array(values), grid)
+
+
+def _write_csv(path, manifest_hash: str | None, header: str, blocks) -> None:
+    """Write the manifest comment, if any, the header line and then each
+    block of ``blocks``, one or more lines that each end in a line break,
+    as UTF-8 whatever the locale."""
+    with open(path, "w", encoding="utf-8") as handle:
+        if manifest_hash:
+            handle.write(f"# manifest={manifest_hash}\n")
+        handle.write(header + "\n")
+        handle.writelines(blocks)
 
 
 def write_panel(panel: ObjectPanel, path, manifest_hash: str | None = None) -> None:
-    lines = []
-    if manifest_hash:
-        lines.append(f"# manifest={manifest_hash}")
-    lines.append("object," + ",".join(_FLOAT.format(t) for t in panel.time_grid))
-    for label, row in zip(panel.labels, panel.values):
-        lines.append(_label_cell(label) + "," + ",".join(_FLOAT.format(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, manifest_hash, "object," + ",".join(_FLOAT.format(t) for t in panel.time_grid),
+               (_label_cell(label) + "," + ",".join(_FLOAT.format(v) for v in row) + "\n"
+                for label, row in zip(panel.labels, panel.values)))
 
 
 def ingest_tensor(path) -> DissimilarityTensor:
@@ -425,9 +436,9 @@ def _scan_columns(path):
     in file order, then checked for coverage in time and id order; an
     IngestError names the first fault."""
     records = _records(_read_text(path))
-    if not records:
+    header_line, header = next(records, (None, None))
+    if header is None:
         raise IngestError(f"{path}: empty file")
-    header_line, header = records[0]
     if not _is_tensor_header(header):
         raise IngestError(f"{path}:{header_line}: header must be t,i,j,d")
 
@@ -435,7 +446,7 @@ def _scan_columns(path):
     entries: dict[tuple[float, int, int], float] = {}
     ids: set[int] = set()
     times: set[float] = set()
-    for lineno, cells in records[1:]:
+    for lineno, cells in records:
         if len(cells) != 4:
             raise IngestError(f"{path}:{lineno}: expected 4 cells, found {len(cells)}")
         try:
@@ -482,66 +493,51 @@ def _scan_columns(path):
 
 
 def write_tensor(tensor: DissimilarityTensor, path, manifest_hash: str | None = None) -> None:
-    """Write the upper triangle of every slice as t,i,j,d rows (ids 1-based)."""
-    lines = []
-    if manifest_hash:
-        lines.append(f"# manifest={manifest_hash}")
-    lines.append("t,i,j,d")
+    """Write the upper triangle of every slice as t,i,j,d rows (ids 1-based),
+    one slice at a time."""
     rows, cols = np.triu_indices(tensor.n, 1)
     ids = [f",{i + 1},{j + 1}," for i, j in zip(rows.tolist(), cols.tolist())]
-    for t, values in zip(tensor.time_grid, tensor._pairs.T):
-        time = _FLOAT.format(t)
-        lines.extend(time + pair + _FLOAT.format(v) for pair, v in zip(ids, values.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    row = "{}{}" + _FLOAT + "\n"
+    _write_csv(path, manifest_hash, "t,i,j,d", (
+        "".join(row.format(time, pair, v) for pair, v in zip(ids, values.tolist()))
+        for time, values in zip(map(_FLOAT.format, tensor.time_grid), tensor._pairs.T)))
 
 
 def write_coordinates(configuration: np.ndarray, labels, path,
                       manifest_hash: str | None = None) -> None:
     """One row per object: label plus its embedded coordinates."""
     p = configuration.shape[1]
-    lines = []
-    if manifest_hash:
-        lines.append(f"# manifest={manifest_hash}")
-    lines.append("object," + ",".join(f"x{k + 1}" for k in range(p)))
-    coords = ",".join([_FLOAT] * p)
-    for label, row in zip(labels, configuration):
-        lines.append(_label_cell(label) + "," + coords.format(*row.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    coords = ",".join([_FLOAT] * p) + "\n"
+    # one block: a write call per short line costs more than the lines
+    _write_csv(path, manifest_hash, "object," + ",".join(f"x{k + 1}" for k in range(p)),
+               ["".join(_label_cell(label) + "," + coords.format(*row.tolist())
+                        for label, row in zip(labels, configuration))])
 
 
 def write_trajectories(grid: np.ndarray, positions: np.ndarray, labels, path,
                        manifest_hash: str | None = None) -> None:
-    """Long-format trajectory samples: t, object, x1..xp."""
+    """Long-format trajectory samples: t, object, x1..xp, written one grid
+    point at a time."""
     p = positions.shape[2]
-    lines = []
-    if manifest_hash:
-        lines.append(f"# manifest={manifest_hash}")
-    lines.append("t,object," + ",".join(f"x{k + 1}" for k in range(p)))
     cells = [_label_cell(label) for label in labels]
-    row = "{},{}," + ",".join([_FLOAT] * p)
-    for t, points in zip(grid, positions):
-        # one list of Python floats per grid point, never the whole array:
-        # they format to the same bytes as numpy's scalars
-        time = _FLOAT.format(t)
-        lines.extend(row.format(time, cell, *coords)
-                     for cell, coords in zip(cells, points.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    row = "{},{}," + ",".join([_FLOAT] * p) + "\n"
+    # one list of Python floats per grid point, never the whole array: they
+    # format to the same bytes as numpy's scalars
+    _write_csv(path, manifest_hash, "t,object," + ",".join(f"x{k + 1}" for k in range(p)), (
+        "".join(row.format(time, cell, *coords) for cell, coords in zip(cells, points.tolist()))
+        for time, points in zip(map(_FLOAT.format, grid), positions)))
 
 
 def write_stress_log(stress_values: np.ndarray, displacements: np.ndarray, path,
                      manifest_hash: str | None = None) -> None:
-    lines = []
-    if manifest_hash:
-        lines.append(f"# manifest={manifest_hash}")
-    lines.append("epoch,stress,max_displacement")
-    for e, (s, d) in enumerate(zip(stress_values, displacements)):
-        lines.append(f"{e},{_FLOAT.format(s)},{_FLOAT.format(d)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, manifest_hash, "epoch,stress,max_displacement",
+               ["".join(f"{e},{_FLOAT.format(s)},{_FLOAT.format(d)}\n"
+                        for e, (s, d) in enumerate(zip(stress_values, displacements)))])
 
 
 def write_json(payload: dict, path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def read_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    return json.loads(Path(path).read_text(encoding="utf-8"))

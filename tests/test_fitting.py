@@ -1,6 +1,8 @@
 """Tests for the trajectory-fitting engine: objective, gradients, warm start,
 and the pairwise Adam loop."""
 
+import functools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -108,7 +110,7 @@ class TestStress:
         diff = pos[:, None] - pos[None, :]
         resid = np.moveaxis(dsq, 0, 2) - (diff * diff).sum(axis=-1)
         r = resid[np.triu_indices(tensor.n, 1)]
-        assert _stress_value(coeffs, np.square(tensor._pairs), basis) == float((r * r).sum())
+        assert _stress_value(coeffs, tensor._pairs, basis) == float((r * r).sum())
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_bitwise_equal_to_full_residual_sum_over_many_leaves(self, p):
@@ -125,20 +127,40 @@ class TestStress:
             sq += diff[..., c] * diff[..., c]
         resid = dsq - sq
         assert _tree_depth(resid.size) == 4
-        assert _stress_value(coeffs, dsq, basis) == float((resid * resid).sum())
+        assert _stress_value(coeffs, tensor._pairs, basis) == float((resid * resid).sum())
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 8, 9])
     def test_exactly_zero_at_own_squared_distances(self, p):
-        # targets equal to numpy's own sum over the last axis leave every
-        # residual exactly 0 only if the stress adds the p terms in that order
+        # targets whose squares are numpy's own sums over the last axis leave
+        # every residual exactly 0 only if the stress adds the p terms in that
+        # order. Order-1 splines make each position one coefficient column,
+        # exactly, and each column is redrawn until every pair's sum is the
+        # square of a float.
         rng = np.random.default_rng(50 + p)
-        _, coeffs, kv = _random_instance(rng, n=30, m=9, p=p)
-        coeffs *= 10.0 ** rng.integers(-3, 4, coeffs.shape)
+        kv = make_knots((0.0, 1.0), (0.25, 0.5, 0.75), order=1)
         basis = basis_matrix(kv, np.linspace(0.0, 1.0, 9)).values
-        pos = np.einsum("ipq,kq->ikp", coeffs, basis)
-        h, j = np.triu_indices(30, 1)
-        diff = pos[h] - pos[j]
-        assert _stress_value(coeffs, (diff * diff).sum(axis=-1), basis) == 0.0
+        assert set(basis.sum(axis=1)) == {1.0} and set(basis.ravel()) == {0.0, 1.0}
+        n = 3
+        h, j = np.triu_indices(n, 1)
+        coeffs = np.empty((n, p, kv.num_basis))
+        roots = np.empty((len(h), kv.num_basis))
+        reordered = []
+        for k in range(kv.num_basis):
+            while True:
+                pos = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-3, 4, (n, p))
+                terms = (pos[h] - pos[j]) ** 2
+                sums = terms.sum(axis=-1)
+                root = np.sqrt(sums)
+                for candidate in (np.nextafter(root, 0.0), np.nextafter(root, np.inf)):
+                    root = np.where(np.square(root) == sums, root, candidate)
+                if (np.square(root) == sums).all():
+                    break
+            coeffs[:, :, k], roots[:, k] = pos, root
+            reordered.append(functools.reduce(np.add, terms.T[::-1]) != sums)
+        pairs = roots[:, basis.argmax(axis=1)]
+        assert _stress_value(coeffs, pairs, basis) == 0.0
+        # the test can fail: another order of the terms moves some sums
+        assert np.any(reordered) == (p > 2)
 
     def test_object_count_mismatch(self):
         rng = np.random.default_rng(2)
@@ -200,7 +222,7 @@ class TestFullGradients:
         rng = np.random.default_rng(30 + 10 * n + p)
         tensor, coeffs, kv = _random_instance(rng, n=n, p=p, interior=2)
         basis = basis_matrix(kv, tensor.time_grid).values
-        got = _full_gradients(coeffs, np.square(tensor._pairs), basis)
+        got = _full_gradients(coeffs, tensor._pairs, basis)
         _, expected = naive_stress_and_grad(CoefficientSet(coeffs, kv), tensor)
         npt.assert_allclose(got, np.stack(expected), rtol=1e-12, atol=0.0)
 
@@ -212,15 +234,15 @@ class TestFullGradients:
         kv = make_knots((0.0, 1.0), np.linspace(0, 1, 7)[1:-1], order=4)
         basis = basis_matrix(kv, np.linspace(0.0, 1.0, m)).values
         coeffs = rng.normal(size=(n, 2, kv.num_basis))
-        dsq = rng.uniform(size=(n * (n - 1) // 2, m))
+        pairs = rng.uniform(size=(n * (n - 1) // 2, m))
         tracemalloc.start()
         try:
-            _full_gradients(coeffs, dsq, basis)
+            _full_gradients(coeffs, pairs, basis)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # the (pairs, m, p) gathers of all pairs at once made 5.1x the targets
-        assert peak <= 0.25 * dsq.nbytes
+        assert peak <= 0.25 * pairs.nbytes
 
 
 class TestPairStress:
@@ -462,20 +484,19 @@ class TestFit:
         try:
             result = fit(tensor, FitConfig(max_epochs=1))
             _, fit_peak = tracemalloc.get_traced_memory()
-            dsq = np.square(tensor._pairs)
             basis = basis_matrix(result.coefficients.knots, tensor.time_grid).values
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            _stress_value(result.coefficients.coefficients, dsq, basis)
+            _stress_value(result.coefficients.coefficients, tensor._pairs, basis)
             stress_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         # a squared copy of the full (m, n, n) tensor next to the stress
         # evaluation peaked at 46.6 MiB; with the stress's (pairs, m, p)
-        # difference arrays, 38.7 MiB
-        assert fit_peak <= 40 * 2**20
-        assert fit_peak <= 20 * 2**20
-        assert stress_peak <= 31 * 2**20
+        # difference arrays, 38.7 MiB; with a squared copy of the 7.6 MiB
+        # of condensed pairs, 9.4 MiB; 2.2 MiB now, the stress 1.9 MiB
+        assert fit_peak <= 4 * 2**20
+        assert stress_peak <= 4 * 2**20
 
     def test_peak_memory_at_n400_is_the_condensed_targets(self):
         import tracemalloc
@@ -489,8 +510,9 @@ class TestFit:
         finally:
             tracemalloc.stop()
         # the full residual array next to the targets made 2.04x, and the
-        # divergence scale's (dsq * dsq) as much; 1.17x now
-        assert peak <= 1.5 * targets
+        # divergence scale's (dsq * dsq) as much; a squared copy of the
+        # targets 1.21x; 0.21x now, as every kernel squares d as it reads it
+        assert peak <= 0.3 * targets
 
     def test_stress_peak_memory_is_one_residual_array(self):
         import tracemalloc
@@ -500,17 +522,17 @@ class TestFit:
         kv = make_knots((0.0, 1.0), np.linspace(0, 1, 7)[1:-1], order=4)
         basis = basis_matrix(kv, np.linspace(0.0, 1.0, m)).values
         coeffs = rng.normal(size=(n, 2, kv.num_basis))
-        dsq = rng.uniform(size=(n * (n - 1) // 2, m))
+        pairs = rng.uniform(size=(n * (n - 1) // 2, m))
         tracemalloc.start()
         try:
-            _stress_value(coeffs, dsq, basis)
+            _stress_value(coeffs, pairs, basis)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # the (pairs, m, p) difference array and its same-size gather made
         # 4x the targets, the residual array 1.02x; one leaf of residuals
-        # next to one object's rows is 0.04x
-        assert peak <= 0.1 * dsq.nbytes
+        # and one of squared targets next to one object's rows is 0.07x
+        assert peak <= 0.1 * pairs.nbytes
 
     def test_full_batch_agreement_fixture(self):
         # both optimizers polish the same warm start toward the shared
@@ -533,7 +555,7 @@ class TestFit:
 
 class TestPairwiseAdamKernel:
     @staticmethod
-    def _reference_epochs(coeffs, dsq, basis, orders, config):
+    def _reference_epochs(coeffs, pairs, basis, orders, config):
         n, p, q = coeffs.shape
         state = AdamState.zeros(n, p, q, alpha=config.alpha, gamma1=config.gamma1,
                                 gamma2=config.gamma2)
@@ -541,7 +563,7 @@ class TestPairwiseAdamKernel:
             for h in rows:
                 for j in range(h + 1, n):
                     pair = h * (2 * n - h - 1) // 2 + j - h - 1
-                    grad_h = _pair_grad(coeffs[h], coeffs[j], dsq[pair], basis)
+                    grad_h = _pair_grad(coeffs[h], coeffs[j], pairs[pair], basis)
                     delta_h = state.step(h, grad_h)
                     delta_j = state.step(j, -grad_h)
                     coeffs[h] += delta_h
@@ -561,16 +583,15 @@ class TestPairwiseAdamKernel:
         init = init_from_cmds if init_mode == "cmds_warm" else init_random
         start = init(tensor, config)
         basis = basis_matrix(start.knots, tensor.time_grid).values
-        dsq = np.square(tensor._pairs)
         rng = np.random.default_rng(5)
         orders = [rng.permutation(n - 1) for _ in range(3)]
 
         expected = start.coefficients.copy()
-        state = self._reference_epochs(expected, dsq, basis, orders, config)
+        state = self._reference_epochs(expected, tensor._pairs, basis, orders, config)
         got = start.coefficients.copy()
         kernel = _PairwiseAdam(n, p, start.q, basis, config.alpha, config.gamma1, config.gamma2)
         for rows in orders:
-            kernel.epoch(got, dsq, rows)
+            kernel.epoch(got, tensor._pairs, rows)
 
         assert np.array_equal(got, expected)
         assert np.array_equal(kernel.moments[:, 0], state.first_moment)
@@ -631,10 +652,14 @@ class TestEvaluateTrajectories:
         cs = CoefficientSet(rng.normal(size=(n, p, kv.num_basis)), kv)
         grid = np.linspace(0.0, 1.0, 23)
         traj = evaluate_trajectories(cs, grid)
+        # computed on first read, then kept
+        assert "fitted_dissimilarities" not in vars(traj)
+        fitted = traj.fitted_dissimilarities
+        assert traj.fitted_dissimilarities is fitted
         # the former expression: one (points, n, n, p) difference tensor
         diff = traj.positions[:, :, None, :] - traj.positions[:, None, :, :]
         np.multiply(diff, diff, out=diff)
-        assert np.array_equal(traj.fitted_dissimilarities, np.sqrt(diff.sum(axis=-1)))
+        assert np.array_equal(fitted, np.sqrt(diff.sum(axis=-1)))
 
     def test_peak_memory_is_the_result(self):
         import tracemalloc
@@ -647,11 +672,15 @@ class TestEvaluateTrajectories:
         try:
             traj = evaluate_trajectories(cs, grid)
             _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            fitted = traj.fitted_dissimilarities
+            _, fitted_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        returned = traj.positions.nbytes + traj.fitted_dissimilarities.nbytes
-        # the (points, n, n, p) difference tensor alone was twice the result
-        assert peak < 1.5 * returned
+        # the (points, n, n, p) difference tensor alone was twice the
+        # positions and distances; the distances are now built on first read
+        assert peak < 1.25 * traj.positions.nbytes
+        assert fitted_peak < 1.5 * fitted.nbytes
 
 
 class TestFitConfigValidation:

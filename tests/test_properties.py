@@ -1,6 +1,6 @@
-"""Property tests: invariances of the correlation dissimilarity and the
-B-spline basis, and the condensed storage of tensors, over generated
-inputs."""
+"""Property tests: invariances of the correlation dissimilarity, the
+B-spline basis and the stress, and the condensed storage of tensors, over
+generated inputs."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from fmds import (  # noqa: E402
+    CoefficientSet,
     DissimilarityMatrix,
+    DissimilarityTensor,
     ObjectPanel,
     basis_matrix,
     classical_mds,
     euclidean_dissimilarity,
     make_knots,
     rolling_dissimilarity_tensor,
+    stress,
 )
 from fmds.cmds import _mds_blocks  # noqa: E402
 from fmds.io import ingest_tensor  # noqa: E402
@@ -183,3 +186,72 @@ def test_ingested_tensor_pairs_rebuild_the_full_slices(tmp_path_factory, data):
     assert condensed.shape == (n * (n - 1) // 2, len(times))
     assert tensor.values.tobytes() == full.tobytes()
     _same_blocks(condensed, full, n)
+
+
+EPS = 2.0**-53
+
+
+@st.composite
+def stress_instances(draw):
+    """Random coefficients and a random tensor of the same n objects, not
+    fitted to each other: (coefficients, knots, tensor)."""
+    rng = np.random.default_rng(draw(SEEDS))
+    n, m, p = draw(st.integers(2, 8)), draw(st.integers(4, 12)), draw(st.integers(1, 4))
+    interior = np.linspace(0.0, 1.0, draw(st.integers(0, 3)) + 2)[1:-1]
+    knots = make_knots((0.0, 1.0), interior, order=4)
+    coeffs = rng.normal(size=(n, p, knots.num_basis)) * 10.0 ** draw(st.integers(-3, 3))
+    h, j = np.triu_indices(n, 1)
+    values = np.zeros((m, n, n))
+    values[:, h, j] = rng.uniform(size=(m, h.size)) * 10.0 ** draw(st.integers(-3, 3))
+    values[:, j, h] = values[:, h, j]
+    return coeffs, knots, DissimilarityTensor(np.linspace(0.0, 1.0, m), values)
+
+
+def _stress_rounding(coeffs, knots, tensor):
+    """A bound on |F - F'| for the stress F of ``coeffs`` and the stress F'
+    of the same coefficients under an orthogonal map or a relabelling.
+
+    a_i(t) = sum_k |B_k(t)| ||C_i[:, k]||_2 bounds ||x_i(t)||, and neither
+    map changes it. Each computed coordinate difference of a pair is off by
+    at most (p sqrt(p) + q + 2) eps (a_h + a_j): q for the basis product,
+    p sqrt(p) for the map applied to the coefficients, 2 for the positions'
+    subtraction. So a residual r = d^2 - ||x_h - x_j||^2 moves by at most
+        delta = 4 p (p sqrt(p) + q + 2) eps (a_h + a_j)^2 + eps |r|,
+    its square by 2 |r| delta + delta^2, and the pairwise sum of N squares
+    by (ceil(log2 N) + 1) eps F. Both evaluations may be off, hence the 2.
+    """
+    n, p, q = coeffs.shape
+    basis = basis_matrix(knots, tensor.time_grid).values
+    a = np.abs(basis) @ np.linalg.norm(coeffs, axis=1).T
+    h, j = np.triu_indices(n, 1)
+    scale = (a[:, h] + a[:, j]).T
+    pos = np.einsum("ipq,kq->ikp", coeffs, basis)
+    r = np.abs(np.square(tensor._pairs) - ((pos[h] - pos[j]) ** 2).sum(axis=-1))
+    delta = 4 * p * (p * np.sqrt(p) + q + 2) * EPS * scale**2 + EPS * r
+    levels = np.ceil(np.log2(max(r.size, 2))) + 1
+    return 2 * float((2 * r * delta + delta**2).sum() + levels * EPS * (r * r).sum())
+
+
+@settings(deadline=None, max_examples=100)
+@given(stress_instances(), SEEDS, st.booleans())
+def test_stress_invariant_under_a_common_orthogonal_map(case, seed, reflect):
+    coeffs, knots, tensor = case
+    p = coeffs.shape[1]
+    gamma, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(p, p)))
+    if reflect:
+        gamma[:, 0] *= -1.0
+    mapped = np.einsum("ab,ibq->iaq", gamma, coeffs)
+    base = stress(CoefficientSet(coeffs, knots), tensor)
+    moved = stress(CoefficientSet(mapped, knots), tensor)
+    assert abs(moved - base) <= _stress_rounding(coeffs, knots, tensor)
+
+
+@settings(deadline=None, max_examples=100)
+@given(stress_instances(), st.data())
+def test_stress_invariant_under_relabelling(case, data):
+    coeffs, knots, tensor = case
+    perm = np.array(data.draw(st.permutations(range(len(coeffs))), label="perm"))
+    relabelled = DissimilarityTensor(tensor.time_grid, tensor.values[:, perm][:, :, perm])
+    base = stress(CoefficientSet(coeffs, knots), tensor)
+    moved = stress(CoefficientSet(coeffs[perm], knots), relabelled)
+    assert abs(moved - base) <= _stress_rounding(coeffs, knots, tensor)
