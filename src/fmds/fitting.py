@@ -17,6 +17,8 @@ spline coefficients, provides the warm start.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,7 +47,7 @@ _DENOM_SHIFT = 1e-8
 
 # numpy sums a contiguous float64 array pairwise: it splits a range at half
 # its length, rounded down to a multiple of 8, down to blocks of 128. A range
-# of at most this many elements is a leaf of ``_pairwise_sum``: one np.sum,
+# of at most this many elements is a leaf of ``_tree_sum``: one np.sum,
 # which follows the same tree inside it.
 _LEAF = 1 << 16
 
@@ -194,94 +196,83 @@ def _fit_knots(grid: np.ndarray, interior_count: int) -> KnotVector:
 # objective and gradients
 
 
-def _tree_sum(size: int, leaf_sum):
-    """numpy's pairwise sum of ``size`` elements, given ``leaf_sum(k)``, the
-    np.sum of the next leaf's k elements."""
+def _tree_sum(start: int, size: int, leaf_sum):
+    """numpy's pairwise sum of the ``size`` elements from ``start`` on, given
+    ``leaf_sum(start, k)``, the np.sum of the k elements from ``start``."""
     if size <= _LEAF:
-        return leaf_sum(size)
+        return leaf_sum(start, size)
     half = size // 2 - size // 2 % 8
-    return _tree_sum(half, leaf_sum) + _tree_sum(size - half, leaf_sum)
+    return _tree_sum(start, half, leaf_sum) + _tree_sum(start + half, size - half, leaf_sum)
 
 
-def _pairwise_sum(chunks, size: int) -> float:
-    """``np.sum`` of the concatenated 1-D float64 arrays that the iterator
-    ``chunks`` yields, ``size`` elements in all, bit for bit: each leaf is
-    summed by np.sum, from its chunk or, if it spans chunks, from a copy,
-    and the leaf sums are added in the tree's order."""
-    if not size:
-        return 0.0
-    rest = np.empty(0)
-    leaf = None
+def _sum_rows(shape: tuple[int, int], fill) -> float:
+    """``np.sum`` of a (rows, m) float64 array, bit for bit, given
+    ``fill(first, stop, out)``, which writes its rows first..stop-1 into
+    ``out``. Each leaf's rows are filled into one buffer and the leaf is
+    summed there, so a row that two leaves share is filled for each."""
+    rows, m = shape
+    buffer = np.empty((min(rows, _LEAF // m + 2), m))
 
-    def leaf_sum(size):
-        nonlocal rest, leaf
-        if not rest.size:
-            rest = next(chunks)
-        if rest.size >= size:
-            total = rest[:size].sum()
-            rest = rest[size:]
-            return total
-        if leaf is None:
-            leaf = np.empty(_LEAF)
-        filled = 0
-        while filled < size:
-            if not rest.size:
-                rest = next(chunks)
-            take = min(size - filled, rest.size)
-            leaf[filled:filled + take] = rest[:take]
-            rest = rest[take:]
-            filled += take
-        return leaf[:size].sum()
+    def leaf_sum(start, size):
+        first, stop = start // m, -(-(start + size) // m)
+        out = buffer[:stop - first]
+        fill(first, stop, out)
+        offset = start - first * m
+        return out.reshape(-1)[offset:offset + size].sum()
 
-    return float(_tree_sum(size, leaf_sum))
+    return float(_tree_sum(0, rows * m, leaf_sum))
 
 
 def _stress_value(coeffs: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> float:
     """Squared stress of raw coefficient arrays against the condensed pairs
     of d: row h * (2n - h - 1) / 2 + j - h - 1 holds pair (h, j).
 
-    The residuals are formed for the pairs of a few objects h at a time, at
-    most about a leaf of them, and go to ``_pairwise_sum`` in row-major
-    (pairs, times) order, so no (pairs, times, p) difference array and no
-    full residual array exists, and the sum has the bits of np.sum over the
-    whole residual array. The targets of those pairs are squared into a
-    buffer of the same size, so no squared copy of d exists either.
+    The residuals of a leaf's pair rows are formed in place, a few objects
+    h at a time, and summed by ``_sum_rows``, so no (pairs, times, p)
+    difference array, no full residual array and no squared copy of d
+    exists, and the sum has the bits of np.sum over the whole residual
+    array.
     """
     pos = np.einsum("ipq,kq->ikp", coeffs, basis)
     n, m, p = pos.shape
     block = np.empty((n - 1, m, p))
-    resid = np.empty((max(n - 1, min(len(pairs), _LEAF // m)), m))
-    targets = np.empty_like(resid)
+    sums = np.empty((n - 1, m))
+    # one past the last pair row of each object h
+    ends = list(itertools.accumulate(range(n - 1, 0, -1)))
 
-    def residuals(done, filled):
-        rows = resid[:filled]
-        squares = np.square(pairs[done:done + filled], out=targets[:filled])
-        np.subtract(squares, rows, out=rows)
-        np.multiply(rows, rows, out=rows)
-        return rows.reshape(-1)
-
-    def chunks():
-        done = filled = 0
-        for h in range(n - 1):
-            if filled + n - 1 - h > len(resid):
-                yield residuals(done, filled)
-                done, filled = done + filled, 0
-            diff = block[h:]
-            rows = resid[filled:filled + len(diff)]
-            filled += len(diff)
-            np.subtract(pos[h], pos[h + 1:], out=diff)
+    def fill(first, stop, out):
+        np.square(pairs[first:stop], out=out)
+        h = bisect.bisect_right(ends, first)
+        row = first
+        while row < stop:
+            end = min(stop, ends[h])
+            # row holds the pair (h, j)
+            j = row + n - ends[h]
+            diff, sq = block[:end - row], sums[:end - row]
+            np.subtract(pos[h], pos[j:j + end - row], out=diff)
             np.multiply(diff, diff, out=diff)
             if 1 < p < 8:
                 # numpy sums a last axis shorter than 8 left to right, as
                 # these column adds do; from 8 on it sums pairwise
-                np.add(diff[..., 0], diff[..., 1], out=rows)
+                np.add(diff[..., 0], diff[..., 1], out=sq)
                 for c in range(2, p):
-                    np.add(rows, diff[..., c], out=rows)
+                    np.add(sq, diff[..., c], out=sq)
             else:
-                np.sum(diff, axis=-1, out=rows)
-        yield residuals(done, filled)
+                np.sum(diff, axis=-1, out=sq)
+            resid = out[row - first:end - first]
+            np.subtract(resid, sq, out=resid)
+            row, h = end, h + 1
+        np.multiply(out, out, out=out)
 
-    return _pairwise_sum(chunks(), pairs.size)
+    return _sum_rows(pairs.shape, fill)
+
+
+def _collapsed_stress(pairs: np.ndarray) -> float:
+    """The stress with every object at one point, the data's own scale of
+    stress: np.sum(np.square(np.square(pairs))) bit for bit, squaring a
+    leaf of pairs twice at a time."""
+    return _sum_rows(pairs.shape, lambda first, stop, out: np.square(
+        np.square(pairs[first:stop], out=out), out=out))
 
 
 def _pair_grad(c_h: np.ndarray, c_j: np.ndarray, d_pair: np.ndarray,
@@ -578,13 +569,7 @@ def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
         coeffs = _random_coefficients(tensor, config, rng, q)
 
     initial_stress = _stress_value(coeffs, pairs, basis)
-    # the stress with every object at one point: the data's own scale of
-    # stress, the sum of d**4, squared twice a leaf of pairs at a time
-    step = max(1, _LEAF // tensor.num_times)
-    quartics = (np.square(np.square(pairs[k:k + step])).reshape(-1)
-                for k in range(0, len(pairs), step))
-    collapsed = _pairwise_sum(quartics, pairs.size)
-    overflow = STRESS_OVERFLOW * max(1.0, collapsed)
+    overflow = STRESS_OVERFLOW * max(1.0, _collapsed_stress(pairs))
     adam = _PairwiseAdam(n, config.p, q, basis, config.alpha, config.gamma1, config.gamma2)
 
     stress_log: list[float] = []

@@ -157,6 +157,7 @@ def ingest_panel(path) -> ObjectPanel:
         grid = np.arange(1.0, m + 1.0)
 
     labels: list[str] = []
+    seen: set[str] = set()
     values = []
     for r, (lineno, cells) in enumerate(itertools.chain([first], records)):
         if len(cells) != m + 1:
@@ -166,8 +167,9 @@ def ingest_panel(path) -> ObjectPanel:
         label = cells[0]
         if not label:
             raise IngestError(f"{path}:{lineno}: empty object label (row {r + 2}, column 1)")
-        if label in labels:
+        if label in seen:
             raise IngestError(f"{path}:{lineno}: duplicate object label {label!r}")
+        seen.add(label)
         labels.append(label)
         row = np.empty(m)
         for c, cell in enumerate(cells[1:]):
@@ -223,15 +225,11 @@ def ingest_tensor(path) -> DissimilarityTensor:
     chunk at a time, and any other order is read whole and sorted. Any file
     loadtxt refuses (quoted cells, comment or whitespace-only lines in the
     body, non-ASCII text, ``int`` spellings like ``1_0``) or that turns out
-    invalid is read by the line scan, which builds the same columns row by
+    invalid is read by the line scan, which builds the same tensor row by
     row or names the first faulty line.
     """
     tensor = _array_tensor(path)
-    if tensor is None:
-        tensor = _assemble_tensor(*_scan_columns(path))
-    if tensor is None:
-        raise RuntimeError(f"{path}: the array check rejected a file the line scan accepts")
-    return tensor
+    return _scan_tensor(path) if tensor is None else tensor
 
 
 def _is_tensor_header(cells) -> bool:
@@ -431,10 +429,10 @@ def _assemble_tensor(t, i, j, d) -> DissimilarityTensor | None:
     return DissimilarityTensor._from_pairs(grid, head.reshape(-1, m), n)
 
 
-def _scan_columns(path):
-    """The t, i, j, d columns of the file's csv records, read line by line
-    in file order, then checked for coverage in time and id order; an
-    IngestError names the first fault."""
+def _scan_tensor(path) -> DissimilarityTensor:
+    """The tensor of the file's csv records, read and checked line by line
+    in file order; its pairs are filled while their coverage is checked in
+    time and id order. An IngestError names the first fault."""
     records = _records(_read_text(path))
     header_line, header = next(records, (None, None))
     if header is None:
@@ -442,7 +440,6 @@ def _scan_columns(path):
     if not _is_tensor_header(header):
         raise IngestError(f"{path}:{header_line}: header must be t,i,j,d")
 
-    rows = []
     entries: dict[tuple[float, int, int], float] = {}
     ids: set[int] = set()
     times: set[float] = set()
@@ -463,7 +460,6 @@ def _scan_columns(path):
             raise IngestError(f"{path}:{lineno}: non-finite value in row {cells!r}")
         if d < 0:
             raise IngestError(f"{path}:{lineno}: negative dissimilarity {d}")
-        rows.append((t, i, j, d))
         if i == j:
             if d != 0.0:
                 raise IngestError(f"{path}:{lineno}: nonzero self-dissimilarity for object {i}")
@@ -483,13 +479,17 @@ def _scan_columns(path):
     if not entries:
         raise IngestError(f"{path}: no pair rows found")
     id_list = sorted(ids)
-    for t in np.array(sorted(times)):
-        for a, low in enumerate(id_list):
-            for high in id_list[a + 1:]:
-                if (t, low, high) not in entries:
-                    raise IngestError(f"{path}: missing pair ({low}, {high}) at t={t}")
-    table = np.array(rows, dtype=_TENSOR_ROW)
-    return table["t"], table["i"], table["j"], table["d"]
+    keys = [(low, high) for a, low in enumerate(id_list) for high in id_list[a + 1:]]
+    # the set kept each time's first spelling, so a -0.0 there stays -0.0
+    grid = np.array(sorted(times))
+    pairs = np.empty((len(keys), grid.size))
+    for k, t in enumerate(grid):
+        try:
+            pairs[:, k] = [entries[t, low, high] for low, high in keys]
+        except KeyError as exc:
+            _, low, high = exc.args[0]
+            raise IngestError(f"{path}: missing pair ({low}, {high}) at t={t}") from None
+    return DissimilarityTensor._from_pairs(grid, pairs, len(id_list))
 
 
 def write_tensor(tensor: DissimilarityTensor, path, manifest_hash: str | None = None) -> None:

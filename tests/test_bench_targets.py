@@ -68,5 +68,10 @@ def test_traced_run_enters_its_spans(tmp_path, workload):
     assert entered == ENTERED[workload]
     metrics = tracing["layer_metrics"](tracer.spans, tracer.counts[0], 1.0, 0.0)
     assert [name for name in entered if not metrics[name + "_s"] > 0] == []
+    if "fitting.fit" in entered:
+        # fitting.adam_s subtracts, and fitting.stress_s averages over, the
+        # initial stress and one per epoch
+        stress_calls = sum(span["name"] == "fitting.stress" for span in tracer.spans)
+        assert stress_calls == metrics["fitting.epochs_run"] + 1 > 1
     for gap in KNOWN_GAPS:
         assert metrics[gap + "_s"] == 0

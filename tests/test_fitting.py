@@ -2,6 +2,7 @@
 and the pairwise Adam loop."""
 
 import functools
+import itertools
 
 import numpy as np
 import numpy.testing as npt
@@ -33,11 +34,13 @@ from fmds import (
 )
 from fmds.fitting import (
     _LEAF,
+    _collapsed_stress,
     _full_gradients,
     _PairwiseAdam,
     _pair_grad,
-    _pairwise_sum,
     _stress_value,
+    _sum_rows,
+    _tree_sum,
 )
 from fmds.reference import AdamState, central_difference_gradient, naive_stress_and_grad
 
@@ -112,11 +115,14 @@ class TestStress:
         r = resid[np.triu_indices(tensor.n, 1)]
         assert _stress_value(coeffs, tensor._pairs, basis) == float((r * r).sum())
 
+    @pytest.mark.parametrize("n, m, depth", [(120, 80, 4), (3, 70000, 2), (2, 70000, 1)])
     @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_bitwise_equal_to_full_residual_sum_over_many_leaves(self, p):
-        # 571,200 residuals: leaves at depths 3 and 4 of numpy's pairwise tree
+    def test_bitwise_equal_to_full_residual_sum_over_many_leaves(self, n, m, depth, p):
+        # n=120, m=80 gives 571,200 residuals: leaves at depths 3 and 4 of
+        # numpy's pairwise tree. At m > _LEAF one pair row spans leaves, and
+        # at n = 3 leaves also start and end inside rows
         rng = np.random.default_rng(70 + p)
-        tensor, coeffs, kv = _random_instance(rng, n=120, m=80, p=p, interior=6)
+        tensor, coeffs, kv = _random_instance(rng, n=n, m=m, p=p, interior=6)
         basis = basis_matrix(kv, tensor.time_grid).values
         dsq = np.square(tensor._pairs)
         pos = np.einsum("ipq,kq->ikp", coeffs, basis)
@@ -126,7 +132,7 @@ class TestStress:
         for c in range(1, p):
             sq += diff[..., c] * diff[..., c]
         resid = dsq - sq
-        assert _tree_depth(resid.size) == 4
+        assert _tree_depth(resid.size) == depth
         assert _stress_value(coeffs, tensor._pairs, basis) == float((resid * resid).sum())
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 8, 9])
@@ -162,6 +168,13 @@ class TestStress:
         # the test can fail: another order of the terms moves some sums
         assert np.any(reordered) == (p > 2)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (780, 791), (79800, 50), (3, 70000)])
+    def test_collapsed_stress_is_the_sum_of_fourth_powers(self, shape):
+        # fit's divergence scale, bit for bit
+        rng = np.random.default_rng(shape[1])
+        pairs = rng.uniform(size=shape) * 10.0 ** rng.integers(-3, 4, shape)
+        assert _collapsed_stress(pairs) == np.sum(np.square(np.square(pairs)))
+
     def test_object_count_mismatch(self):
         rng = np.random.default_rng(2)
         tensor, coeffs, kv = _random_instance(rng, n=4)
@@ -183,12 +196,32 @@ def _tree_depth(size):
 
 
 class TestPairwiseSum:
-    """``_pairwise_sum`` rebuilds numpy's own pairwise summation tree; a numpy
-    that sums in another order fails here before it moves the stress."""
+    """``_tree_sum`` rebuilds numpy's own pairwise summation tree, and
+    ``_sum_rows`` sums a row array through it a leaf at a time; a numpy that
+    sums in another order fails here before it moves the stress."""
 
-    def _chunks(self, rng, flat):
-        cuts = np.sort(rng.integers(0, flat.size + 1, int(rng.integers(0, 6))))
-        return iter(np.split(flat, cuts))
+    @staticmethod
+    def _tree_sum(values):
+        leaves = []
+
+        def leaf_sum(start, size):
+            leaves.append((start, size))
+            return values[start:start + size].sum()
+
+        total = _tree_sum(0, values.size, leaf_sum)
+        # the leaves cover the values once, in order, each at most _LEAF long
+        starts, sizes = zip(*leaves)
+        assert list(starts) == [0, *itertools.accumulate(sizes[:-1])]
+        assert sum(sizes) == values.size and max(sizes) <= _LEAF
+        return total
+
+    @staticmethod
+    def _sum_rows(values):
+        def fill(first, stop, out):
+            assert stop - first == len(out) and 0 <= first <= stop <= len(values)
+            out[:] = values[first:stop]
+
+        return _sum_rows(values.shape, fill)
 
     def test_matches_np_sum_on_random_lengths(self):
         rng = np.random.default_rng(90)
@@ -197,22 +230,21 @@ class TestPairwiseSum:
                  *rng.integers(1, 3 * 10**6, 24), *rng.integers(1, 3 * _LEAF, 8)]
         for size in sizes:
             values = rng.uniform(size=int(size)) * 10.0 ** rng.integers(-8, 9, int(size))
-            total = _pairwise_sum(self._chunks(rng, values), values.size)
-            assert total == values.sum()
+            assert self._tree_sum(values) == values.sum()
         assert {_tree_depth(int(size)) for size in sizes} == set(range(7))
         assert any(size % 8 for size in sizes if size > _LEAF)
 
-    @pytest.mark.parametrize("shape", [(79800, 50), (780, 791), (4950, 60), (3, 5), (1, 1)])
+    @pytest.mark.parametrize("shape", [(79800, 50), (780, 791), (4950, 60), (3, 5), (1, 1),
+                                       (3, 70000)])
     def test_matches_np_sum_on_condensed_arrays(self, shape):
         rng = np.random.default_rng(shape[0])
         values = rng.uniform(size=shape) ** 4
-        chunks = iter(values)  # one pair row at a time
-        assert _pairwise_sum(chunks, values.size) == values.sum()
-        assert _pairwise_sum(iter(values * values), values.size) == (values * values).sum()
+        assert self._sum_rows(values) == values.sum()
+        assert self._sum_rows(values * values) == (values * values).sum()
 
     def test_empty(self):
-        assert _pairwise_sum(iter(()), 0) == 0.0
-        assert _pairwise_sum(iter([np.empty(0), np.ones(3), np.empty(0), np.ones(2)]), 5) == 5.0
+        assert _tree_sum(0, 0, lambda start, size: np.empty(0).sum()) == 0.0
+        assert self._sum_rows(np.empty((0, 5))) == 0.0
 
 
 class TestFullGradients:
@@ -530,9 +562,10 @@ class TestFit:
         finally:
             tracemalloc.stop()
         # the (pairs, m, p) difference array and its same-size gather made
-        # 4x the targets, the residual array 1.02x; one leaf of residuals
-        # and one of squared targets next to one object's rows is 0.07x
-        assert peak <= 0.1 * pairs.nbytes
+        # 4x the targets, the residual array 1.02x; a leaf of residuals, one
+        # of squared targets and a copy of a leaf spanning two of them 0.071x;
+        # one leaf of residuals next to one object's rows is 0.044x
+        assert peak <= 0.06 * pairs.nbytes
 
     def test_full_batch_agreement_fixture(self):
         # both optimizers polish the same warm start toward the shared

@@ -81,6 +81,11 @@ class TestIngestPanel:
                       "object,1,2\naa,1,2\naa,3,4\n")
         with pytest.raises(IngestError, match="duplicate"):
             ingest_panel(path)
+        # a duplicate on the last of a few thousand rows, named at its line
+        rows = "".join(f"o{k},1,2\n" for k in range(5000))
+        path = _write(tmp_path, "many.csv", "object,1,2\n" + rows + "o1234,3,4\n")
+        with pytest.raises(IngestError, match=r"many\.csv:5002: duplicate object label 'o1234'"):
+            ingest_panel(path)
 
     def test_non_numeric_header_falls_back(self, tmp_path):
         path = _write(tmp_path, "p.csv",
@@ -385,6 +390,24 @@ class TestIngestTensor:
         # tensor; one whole-file loadtxt table and the sort at 3.8x
         assert peak < 120 * 2**20
         assert peak <= 1.5 * tensor.values.nbytes
+        assert back.stacked().tobytes() == tensor.stacked().tobytes()
+
+    def test_line_scan_peak_memory(self, tmp_path):
+        _, tensor, _ = generate(SyntheticScenario("smooth_rotation", n=50, m=30, seed=5))
+        path = tmp_path / "t.csv"
+        write_tensor(tensor, path, manifest_hash="abc")
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:1000] + ["# note\n"] + lines[1000:]))
+        tracemalloc.start()
+        try:
+            back = ingest_tensor(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a list of every row's tuple and its structured array next to the
+        # dict of first values peaked at 8.6x the file; the dict, the file's
+        # text and its lines are 6.7x
+        assert peak <= 7.5 * path.stat().st_size
         assert back.stacked().tobytes() == tensor.stacked().tobytes()
 
     # small byte chunks split '\r\n' line ends between two reads of the count
