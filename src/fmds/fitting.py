@@ -180,8 +180,7 @@ class EmbeddingTrajectory:
         for at, out in zip(self.positions, fitted):
             np.subtract(at[:, None, :], at[None, :, :], out=diff)
             np.multiply(diff, diff, out=diff)
-            np.sum(diff, axis=-1, out=out)
-            np.sqrt(out, out=out)
+            np.sqrt(_squared_norms(diff, out), out=out)
         return fitted
 
 
@@ -194,6 +193,19 @@ def _fit_knots(grid: np.ndarray, interior_count: int) -> KnotVector:
 
 # ---------------------------------------------------------------------------
 # objective and gradients
+
+
+def _squared_norms(squares: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.sum(squares, axis=-1, out=out)`` of nonnegative ``squares``, bit for
+    bit: numpy sums a last axis shorter than 8 left to right, as these column
+    adds do without its slow short-axis reduction; from 8 on it sums pairwise."""
+    p = squares.shape[-1]
+    if not 1 < p < 8:
+        return np.sum(squares, axis=-1, out=out)
+    out = np.add(squares[..., 0], squares[..., 1], out=out)
+    for c in range(2, p):
+        np.add(out, squares[..., c], out=out)
+    return out
 
 
 def _tree_sum(start: int, size: int, leaf_sum):
@@ -235,8 +247,10 @@ def _stress_value(coeffs: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> f
     """
     pos = np.einsum("ipq,kq->ikp", coeffs, basis)
     n, m, p = pos.shape
-    block = np.empty((n - 1, m, p))
-    sums = np.empty((n - 1, m))
+    # one object's pairs within one leaf: no more than n - 1 or _sum_rows's buffer
+    rows = min(n - 1, _LEAF // m + 2)
+    block = np.empty((rows, m, p))
+    sums = np.empty((rows, m))
     # one past the last pair row of each object h
     ends = list(itertools.accumulate(range(n - 1, 0, -1)))
 
@@ -251,16 +265,8 @@ def _stress_value(coeffs: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> f
             diff, sq = block[:end - row], sums[:end - row]
             np.subtract(pos[h], pos[j:j + end - row], out=diff)
             np.multiply(diff, diff, out=diff)
-            if 1 < p < 8:
-                # numpy sums a last axis shorter than 8 left to right, as
-                # these column adds do; from 8 on it sums pairwise
-                np.add(diff[..., 0], diff[..., 1], out=sq)
-                for c in range(2, p):
-                    np.add(sq, diff[..., c], out=sq)
-            else:
-                np.sum(diff, axis=-1, out=sq)
             resid = out[row - first:end - first]
-            np.subtract(resid, sq, out=resid)
+            np.subtract(resid, _squared_norms(diff, sq), out=resid)
             row, h = end, h + 1
         np.multiply(out, out, out=out)
 
@@ -300,7 +306,7 @@ def _full_gradients(coeffs: np.ndarray, pairs: np.ndarray, basis: np.ndarray) ->
         diff = pos[h] - pos[h + 1:]
         rows = np.square(pairs[start:start + diff.shape[0]])
         start += diff.shape[0]
-        diff *= (rows - (diff * diff).sum(axis=-1))[..., None]
+        diff *= (rows - _squared_norms(diff * diff))[..., None]
         force[h] += diff.sum(axis=0)
         force[h + 1:] -= diff
     return -4.0 * np.einsum("ikp,kq->ipq", force, basis)

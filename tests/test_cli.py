@@ -198,10 +198,15 @@ class TestFmdsCommand:
                     "--alpha", "10.0", "--baseline", "gd", "--init", "random",
                     "--max-epochs", "50", "--out", tmp_path / "f") == 4
 
-    def test_rerun_byte_identical(self, rotation_tensor, tmp_path):
+    @pytest.mark.parametrize("fit_args", [
+        (),
+        # the full-batch step is absolute; this alpha descends on this input
+        ("--baseline", "gd", "--init", "random", "--alpha", "1e-3"),
+    ], ids=["adam", "gd"])
+    def test_rerun_byte_identical(self, rotation_tensor, tmp_path, fit_args):
         out = tmp_path / "f"
         args = ("fmds", "--input", rotation_tensor, "--dim", "2", "--knots", "2",
-                "--max-epochs", "30", "--out", out, "--deterministic")
+                "--max-epochs", "30", "--out", out, "--deterministic", *fit_args)
         assert _run(*args) == 0
         first = _digest_dir(out)
         assert _run(*args) == 0

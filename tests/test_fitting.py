@@ -258,6 +258,28 @@ class TestFullGradients:
         _, expected = naive_stress_and_grad(CoefficientSet(coeffs, kv), tensor)
         npt.assert_allclose(got, np.stack(expected), rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("n", [2, 9, 40])
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 8, 9])
+    def test_bitwise_equal_to_row_walk(self, n, p):
+        rng = np.random.default_rng(70 + 10 * n + p)
+        kv = make_knots((0.0, 1.0), (0.3, 0.6), order=4)
+        basis = basis_matrix(kv, np.linspace(0.0, 1.0, 11)).values
+        coeffs = rng.normal(size=(n, p, kv.num_basis))
+        pairs = rng.uniform(size=(n * (n - 1) // 2, len(basis)))
+        # the row walk with numpy's own sum over the coordinates
+        pos = np.einsum("ipq,kq->ikp", coeffs, basis)
+        force = np.zeros(pos.shape)
+        start = 0
+        for h in range(n - 1):
+            diff = pos[h] - pos[h + 1:]
+            rows = np.square(pairs[start:start + n - 1 - h])
+            start += n - 1 - h
+            diff *= (rows - (diff * diff).sum(axis=-1))[..., None]
+            force[h] += diff.sum(axis=0)
+            force[h + 1:] -= diff
+        expected = -4.0 * np.einsum("ikp,kq->ipq", force, basis)
+        assert np.array_equal(_full_gradients(coeffs, pairs, basis), expected)
+
     def test_peak_memory_is_one_row_of_pairs(self):
         import tracemalloc
 
@@ -567,6 +589,25 @@ class TestFit:
         # one leaf of residuals next to one object's rows is 0.044x
         assert peak <= 0.06 * pairs.nbytes
 
+    def test_stress_scratch_is_sized_by_the_leaf(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        n, m = 20, 13108
+        kv = make_knots((0.0, 1.0), np.linspace(0, 1, 7)[1:-1], order=4)
+        basis = basis_matrix(kv, np.linspace(0.0, 1.0, m)).values
+        coeffs = rng.normal(size=(n, 2, kv.num_basis))
+        pairs = rng.uniform(size=(n * (n - 1) // 2, m))
+        tracemalloc.start()
+        try:
+            _stress_value(coeffs, pairs, basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # with few objects and long rows, scratch for n - 1 rows of
+        # differences made 0.54x the targets; for a leaf's 7 rows, 0.34x
+        assert peak <= 0.4 * pairs.nbytes
+
     def test_full_batch_agreement_fixture(self):
         # both optimizers polish the same warm start toward the shared
         # basis-approximation floor; values recorded as regression numbers
@@ -678,7 +719,7 @@ class TestEvaluateTrajectories:
         with pytest.raises(OutOfDomain):
             evaluate_trajectories(cs, [0.0, 1.5])
 
-    @pytest.mark.parametrize("n, p", [(40, 2), (7, 3), (5, 9), (2, 1)])
+    @pytest.mark.parametrize("n, p", [(40, 2), (7, 3), (5, 9), (2, 1), (6, 7), (6, 8)])
     def test_matches_whole_grid_expression(self, n, p):
         rng = np.random.default_rng(n * 10 + p)
         kv = make_knots((0.0, 1.0), (0.3, 0.6), order=4)
