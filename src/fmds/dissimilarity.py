@@ -229,7 +229,21 @@ def euclidean_dissimilarity(points) -> DissimilarityMatrix:
     if r < 1:
         raise ShapeError("feature vectors must have at least one component")
     diff = pts[:, None, :] - pts[None, :, :]
-    return DissimilarityMatrix(np.sqrt((diff * diff).sum(axis=-1)))
+    np.multiply(diff, diff, out=diff)
+    return DissimilarityMatrix(np.sqrt(_squared_norms(diff)))
+
+
+def _squared_norms(squares: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.sum(squares, axis=-1, out=out)`` of nonnegative ``squares``, bit for
+    bit: numpy sums a last axis shorter than 8 left to right, as these column
+    adds do without its slow short-axis reduction; from 8 on it sums pairwise."""
+    p = squares.shape[-1]
+    if not 1 < p < 8:
+        return np.sum(squares, axis=-1, out=out)
+    out = np.add(squares[..., 0], squares[..., 1], out=out)
+    for c in range(2, p):
+        np.add(out, squares[..., c], out=out)
+    return out
 
 
 def _power_of_two_scales(series: np.ndarray) -> np.ndarray:

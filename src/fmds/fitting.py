@@ -26,7 +26,7 @@ import numpy as np
 
 from .bspline import KnotVector, basis_matrix, make_knots, _solve_least_squares
 from .cmds import _mds_blocks
-from .dissimilarity import DissimilarityTensor
+from .dissimilarity import DissimilarityTensor, _squared_norms, euclidean_dissimilarity
 from .errors import (
     ConfigError,
     DivergedError,
@@ -164,8 +164,9 @@ class EmbeddingTrajectory:
     """Embedded positions over a grid and the dissimilarities they induce.
 
     ``positions`` has shape (num_times, n, p); ``fitted_dissimilarities``
-    stacks the (n, n) pairwise-distance matrix of each grid point. It is
-    computed when first read and then kept.
+    stacks the ``euclidean_dissimilarity`` of each grid point's positions,
+    so it needs two objects and finite positions. It is computed when first
+    read and then kept.
     """
 
     time_grid: np.ndarray
@@ -173,14 +174,11 @@ class EmbeddingTrajectory:
 
     @cached_property
     def fitted_dissimilarities(self) -> np.ndarray:
-        n, p = self.positions.shape[1:]
+        points, n, _ = self.positions.shape
         # one grid point at a time, so no (points, n, n, p) difference tensor exists
-        fitted = np.empty((len(self.positions), n, n))
-        diff = np.empty((n, n, p))
+        fitted = np.empty((points, n, n))
         for at, out in zip(self.positions, fitted):
-            np.subtract(at[:, None, :], at[None, :, :], out=diff)
-            np.multiply(diff, diff, out=diff)
-            np.sqrt(_squared_norms(diff, out), out=out)
+            out[...] = euclidean_dissimilarity(at).values
         return fitted
 
 
@@ -193,19 +191,6 @@ def _fit_knots(grid: np.ndarray, interior_count: int) -> KnotVector:
 
 # ---------------------------------------------------------------------------
 # objective and gradients
-
-
-def _squared_norms(squares: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.sum(squares, axis=-1, out=out)`` of nonnegative ``squares``, bit for
-    bit: numpy sums a last axis shorter than 8 left to right, as these column
-    adds do without its slow short-axis reduction; from 8 on it sums pairwise."""
-    p = squares.shape[-1]
-    if not 1 < p < 8:
-        return np.sum(squares, axis=-1, out=out)
-    out = np.add(squares[..., 0], squares[..., 1], out=out)
-    for c in range(2, p):
-        np.add(out, squares[..., c], out=out)
-    return out
 
 
 def _tree_sum(start: int, size: int, leaf_sum):

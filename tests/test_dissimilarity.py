@@ -67,6 +67,15 @@ class TestEuclidean:
         with pytest.raises(ShapeError):
             euclidean_dissimilarity([[0.0, 1.0]])
 
+    @pytest.mark.parametrize("n", [2, 9, 40])
+    @pytest.mark.parametrize("r", [1, 2, 3, 7, 8, 9])
+    def test_bitwise_equal_to_the_last_axis_sum(self, n, r):
+        rng = np.random.default_rng(10 * n + r)
+        pts = rng.normal(size=(n, r)) * 10.0 ** rng.integers(-3, 4, size=r)
+        diff = pts[:, None, :] - pts[None, :, :]
+        expected = np.sqrt((diff * diff).sum(axis=-1))
+        assert np.array_equal(euclidean_dissimilarity(pts).values, expected)
+
 
 class TestCorrelation:
     def test_perfect_positive(self):

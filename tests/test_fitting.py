@@ -34,6 +34,7 @@ from fmds import (
 )
 from fmds.fitting import (
     _LEAF,
+    EmbeddingTrajectory,
     _collapsed_stress,
     _full_gradients,
     _PairwiseAdam,
@@ -734,6 +735,27 @@ class TestEvaluateTrajectories:
         diff = traj.positions[:, :, None, :] - traj.positions[:, None, :, :]
         np.multiply(diff, diff, out=diff)
         assert np.array_equal(fitted, np.sqrt(diff.sum(axis=-1)))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 9])
+    def test_truth_positions_give_the_generated_tensor(self, p):
+        _, tensor, truth = generate(SyntheticScenario("random_walk_smoothed", n=7, p_true=p,
+                                                      m=15, seed=p))
+        traj = EmbeddingTrajectory(tensor.time_grid, truth.transpose(1, 0, 2))
+        assert np.array_equal(traj.fitted_dissimilarities, tensor.values)
+
+    def test_one_object_has_no_fitted_distances(self):
+        kv = make_knots((0.0, 1.0), (), order=4)
+        traj = evaluate_trajectories(CoefficientSet(np.ones((1, 2, 4)), kv), [0.0, 1.0])
+        with pytest.raises(ShapeError, match="at least 2 objects"):
+            traj.fitted_dissimilarities
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_positions_have_no_fitted_distances(self, bad):
+        positions = np.zeros((3, 4, 2))
+        positions[1, 2, 0] = bad
+        traj = EmbeddingTrajectory(np.linspace(0.0, 1.0, 3), positions)
+        with np.errstate(invalid="ignore"), pytest.raises(ShapeError, match="non-finite"):
+            traj.fitted_dissimilarities
 
     def test_peak_memory_is_the_result(self):
         import tracemalloc
