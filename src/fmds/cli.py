@@ -260,6 +260,8 @@ def run_fmds_command(manifest: RunManifest) -> int:
             "epochs_run": result.epochs_run,
             "initial_stress": result.initial_stress,
             "final_stress": float(result.stress_per_epoch[-1]),
+            "best_stress": result.best_stress,
+            "best_epoch": result.best_epoch,
             "final_max_displacement": float(result.max_displacement_per_epoch[-1]),
             "eps": manifest.eps,
         },

@@ -158,6 +158,17 @@ class FitResult:
     max_displacement_per_epoch: np.ndarray
     initial_stress: float
 
+    @property
+    def best_epoch(self) -> int:
+        """The epoch with the lowest stress, the first on a tie; epoch 0 is
+        the initialisation. The coefficients are still the final epoch's."""
+        return int(np.argmin([self.initial_stress, *self.stress_per_epoch]))
+
+    @property
+    def best_stress(self) -> float:
+        """The stress at ``best_epoch``."""
+        return float(min([self.initial_stress, *self.stress_per_epoch]))
+
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingTrajectory:
@@ -462,9 +473,10 @@ class _PairwiseAdam:
         decay, gain, neg_alpha, shift = self.decay, self.gain, self.neg_alpha, self.shift
         minus4 = np.array(-4.0)
         # at (p, q) sizes numpy's per-call overhead is the cost: ufuncs are
-        # bound to locals and given their outputs positionally
-        add, subtract, multiply, divide, sqrt, matmul = (
-            np.add, np.subtract, np.multiply, np.divide, np.sqrt, np.matmul)
+        # bound to locals and given their outputs positionally, and np.dot
+        # makes matmul's BLAS call with less dispatch
+        add, subtract, multiply, divide, sqrt, dot = (
+            np.add, np.subtract, np.multiply, np.divide, np.sqrt, np.dot)
         diff, scratch, increment = np.empty((p, q)), np.empty((2, p, q)), np.empty((p, q))
         m_hat, v_hat = scratch
         u, squares, sq_sum = np.empty((p, m)), np.empty((p, m)), np.empty(m)
@@ -493,7 +505,7 @@ class _PairwiseAdam:
             for c_j, target, (g, g_sq), grads, correction in zip(
                     coeff_rows[h + 1:], targets, grad_rows, grad_pairs, corrections[t:]):
                 subtract(c_h, c_j, diff)
-                matmul(diff, basis_t, u)
+                dot(diff, basis_t, u)
                 multiply(u, u, squares)
                 total = first_square
                 for row in other_squares:
@@ -501,7 +513,7 @@ class _PairwiseAdam:
                 subtract(target, total, resid)
                 multiply(u, resid, weighted)
                 multiply(weighted, minus4, weighted)
-                matmul(weighted, basis, g)
+                dot(weighted, basis, g)
                 multiply(g, g, g_sq)
                 # _adam_update's steps for h, on the views made above
                 multiply(grads, gain, scratch)

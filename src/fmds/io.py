@@ -40,6 +40,8 @@ _SCAN_CHUNK = 1 << 20
 # tensor: 64 KiB of parsed rows, below glibc's default 128 KiB mmap threshold,
 # so freeing a chunk does not raise that threshold for the rest of the run.
 _STREAM_ROWS = 1 << 11
+# characters of a file's text split into lines at a time
+_PIECE = 1 << 16
 
 
 def _read_text(path) -> str:
@@ -54,6 +56,18 @@ def _read_text(path) -> str:
     except UnicodeDecodeError as exc:
         line = len((data[:exc.start].decode("utf-8") + "_").splitlines())
         raise IngestError(f"{path}:{line}: not UTF-8 text (byte {data[exc.start]:#04x})") from None
+
+
+def _lines(text: str, size: int = _PIECE):
+    r"""Yield ``text.splitlines(keepends=True)`` one line at a time, splitting
+    pieces of about ``size`` characters. Each piece ends just after a '\n',
+    and a cut there never splits a '\r\n', so the lines are the same."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + size - 1)
+        stop = len(text) if cut == -1 else cut + 1
+        yield from text[start:stop].splitlines(keepends=True)
+        start = stop
 
 
 def _records(raw: str):
@@ -71,7 +85,7 @@ def _records(raw: str):
     consumed: list[str] = []
 
     def lines():
-        for lineno, line in enumerate(raw.splitlines(keepends=True), start=1):
+        for lineno, line in enumerate(_lines(raw), start=1):
             if not start:
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):

@@ -3,8 +3,10 @@
 import argparse
 import hashlib
 import json
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fmds import dissimilarity, fitting
@@ -120,6 +122,32 @@ class TestCmds:
         for entry in summary["slices"]:
             assert "negative_mass" in entry and "eigenvalues" in entry
 
+    @staticmethod
+    def _markers(svg_path):
+        circles = ET.parse(svg_path).getroot().iter("{http://www.w3.org/2000/svg}circle")
+        return [(float(c.get("cx")), float(c.get("cy"))) for c in circles]
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_scatter_of_one_and_three_dimensions(self, rotation_tensor, tmp_path, dim):
+        out = tmp_path / "c"
+        assert _run("cmds", "--input", rotation_tensor, "--dim", dim, "--out", out) == 0
+        for k in (1, 20):
+            markers = self._markers(out / f"scatter_{k:03d}.svg")
+            assert len(markers) == 4 and np.isfinite(markers).all()
+            if dim == 1:
+                # drawn along one horizontal line
+                assert len({y for _, y in markers}) == 1
+
+    def test_scatter_of_coincident_objects(self, tmp_path):
+        tsv = tmp_path / "zero.csv"
+        tsv.write_text("t,i,j,d\n0,1,2,0\n0,1,3,0\n0,2,3,0\n")
+        out = tmp_path / "c"
+        assert _run("cmds", "--input", tsv, "--dim", "2", "--out", out) == 0
+        markers = self._markers(out / "scatter_001.svg")
+        # every object at one point, padded into a finite plot range
+        assert len(markers) == 3 and np.isfinite(markers).all()
+        assert len(set(markers)) == 1
+
     def test_dim_too_large_exit(self, rotation_tensor, tmp_path):
         assert _run("cmds", "--input", rotation_tensor, "--dim", "4",
                     "--out", tmp_path / "c") == 4
@@ -164,6 +192,28 @@ class TestFmdsCommand:
         # the ingest checks the tensor's condensed pairs once; the unit-grid
         # tensor keeps them
         assert checked == [(6, 20)]
+
+    def test_summary_reports_best_iterate(self, tmp_path):
+        # the benchmark's fit_adam input: 50 epochs end far above the warm start
+        src = tmp_path / "s"
+        assert _run("synth", "--scenario", "smooth_rotation", "--n", "40", "--m", "40",
+                    "--seed", "1", "--out", src) == 0
+        out = tmp_path / "f"
+        assert _run("fmds", "--input", src / "tensor.csv", "--dim", "2", "--knots", "4",
+                    "--max-epochs", "50", "--eps", "1e-300", "--seed", "1", "--out", out,
+                    "--deterministic") == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["epochs_run"] == 50
+        assert summary["best_epoch"] == 0
+        assert summary["best_stress"] == summary["initial_stress"]
+        assert summary["initial_stress"] == pytest.approx(1.784e-6, rel=1e-3)
+        assert summary["final_stress"] == pytest.approx(3.357, rel=1e-3)
+
+    def test_one_time_point_exit(self, tmp_path, capsys):
+        tsv = tmp_path / "one.csv"
+        tsv.write_text("t,i,j,d\n0,1,2,1\n0,1,3,1\n0,2,3,1\n")
+        assert _run("fmds", "--input", tsv, "--out", tmp_path / "f") == 2
+        assert "fitting needs at least two distinct time points" in capsys.readouterr().err
 
     def test_zero_epochs_rejected(self, rotation_tensor, tmp_path):
         assert _run("fmds", "--input", rotation_tensor, "--max-epochs", "0",

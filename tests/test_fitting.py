@@ -35,6 +35,7 @@ from fmds import (
 from fmds.fitting import (
     _LEAF,
     EmbeddingTrajectory,
+    FitResult,
     _collapsed_stress,
     _full_gradients,
     _PairwiseAdam,
@@ -517,6 +518,26 @@ class TestFit:
         result = fit(tensor, FitConfig(p=2, interior_knots=2, eps=1e30, max_epochs=50))
         assert result.converged and result.epochs_run == 1
 
+    def test_best_iterate_of_criterion_7_data_is_the_warm_start(self):
+        # Adam's first steps leave the warm start's stress, and 356 epochs
+        # do not win it back; the result says so
+        _, tensor, _ = generate(SyntheticScenario("smooth_rotation", n=5, p_true=2, m=40,
+                                                  seed=42))
+        result = fit(tensor, FitConfig(p=2, interior_knots=4, max_epochs=2000, rng_seed=42))
+        assert result.epochs_run == 356
+        assert result.best_epoch == 0 and result.best_stress == result.initial_stress
+        assert result.initial_stress == pytest.approx(1.706e-9, rel=1e-3)
+        assert result.stress_per_epoch[-1] == pytest.approx(8.796e-9, rel=1e-3)
+
+    @pytest.mark.parametrize("initial, per_epoch, best", [
+        (5.0, [3.0, 1.0, 1.0, 2.0], 2), (1.0, [1.0, 2.0], 0), (2.0, [3.0, 1.5], 2)])
+    def test_best_epoch_is_the_first_lowest_stress(self, initial, per_epoch, best):
+        kv = make_knots((0.0, 1.0), (), order=4)
+        result = FitResult(CoefficientSet(np.zeros((2, 1, 4)), kv), np.array(per_epoch),
+                           len(per_epoch), False, np.zeros(len(per_epoch)), initial)
+        assert result.best_epoch == best
+        assert result.best_stress == min(initial, *per_epoch)
+
     def test_single_object_rejected(self):
         tensor = DissimilarityTensor(np.linspace(0, 1, 6), np.zeros((6, 1, 1)))
         with pytest.raises(InsufficientObjects):
@@ -649,12 +670,21 @@ class TestPairwiseAdamKernel:
         "n, p, init_mode",
         [(2, 1, "cmds_warm"), (2, 1, "random"), (2, 2, "random"), (2, 3, "random"),
          (11, 1, "cmds_warm"), (11, 2, "cmds_warm"), (11, 3, "cmds_warm"),
-         (11, 1, "random"), (11, 2, "random"), (11, 3, "random")],
+         (11, 1, "random"), (11, 2, "random"), (11, 3, "random"),
+         (11, 7, "cmds_warm"), (11, 8, "random"), (11, 9, "random")],
     )
     def test_bitwise_equal_to_pair_by_pair_loop(self, n, p, init_mode):
-        scen = SyntheticScenario("random_walk_smoothed", n=n, p_true=3, m=12, seed=n + p)
+        self._check_against_pair_loop(n, p, init_mode, m=12, interior_knots=2)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_bitwise_equal_on_a_long_row(self, p):
+        self._check_against_pair_loop(5, p, "random", m=200, interior_knots=20)
+
+    def _check_against_pair_loop(self, n, p, init_mode, m, interior_knots):
+        scen = SyntheticScenario("random_walk_smoothed", n=n, p_true=3, m=m, seed=n + p)
         _, tensor, _ = generate(scen)
-        config = FitConfig(p=p, interior_knots=2, alpha=0.01, rng_seed=p, init_mode=init_mode)
+        config = FitConfig(p=p, interior_knots=interior_knots, alpha=0.01, rng_seed=p,
+                           init_mode=init_mode)
         init = init_from_cmds if init_mode == "cmds_warm" else init_random
         start = init(tensor, config)
         basis = basis_matrix(start.knots, tensor.time_grid).values

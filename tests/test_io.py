@@ -406,8 +406,9 @@ class TestIngestTensor:
             tracemalloc.stop()
         # a list of every row's tuple and its structured array next to the
         # dict of first values peaked at 8.6x the file; the dict, the file's
-        # text and its lines are 6.7x
-        assert peak <= 7.5 * path.stat().st_size
+        # text and its whole line list were 6.7x; the dict and the text,
+        # split into lines one piece at a time, are 4.5x
+        assert peak <= 5.0 * path.stat().st_size
         assert back.stacked().tobytes() == tensor.stacked().tobytes()
 
     # small byte chunks split '\r\n' line ends between two reads of the count
@@ -723,6 +724,8 @@ _FAULTS = ("none", "negative", "conflict", "missing", "self", "cells", "float_id
 # line ends: the first three split lines for universal newlines too, the
 # rest only for str.splitlines
 _LINE_ENDS = ("\n", "\r", "\r\n", "\f", "\v", "\x1c", "\x85")
+# every line break str.splitlines knows
+_BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 # lines that may stand between rows: blank, comments, and non-ASCII text
 _FILLER = ("", "  ", "\t", "# note", " #x,y", "# na\u00efve \u00b5")
 
@@ -834,6 +837,19 @@ if st is not None:
         elif fault in ("negative", "conflict", "missing", "self", "cells", "float_id", "hash",
                        "not_utf8"):
             assert isinstance(expected, str)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5])
+    @settings(max_examples=200)
+    @given(text=st.lists(st.sampled_from(_BREAKS + ("a", "bc", "#", '"', " "))).map("".join))
+    def test_lines_in_pieces_match_splitlines(size, text):
+        assert list(fmds_io._lines(text, size)) == text.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("text", ["ab\r\ncd\r\n", "a\r\r\n\n\r", "x\u2028y\u2029z\n",
+                                  "".join(_BREAKS), "no break"])
+def test_lines_keep_breaks_at_piece_edges(text, size):
+    assert list(fmds_io._lines(text, size)) == text.splitlines(keepends=True)
 
 
 class TestRunManifest:
