@@ -228,6 +228,8 @@ def euclidean_dissimilarity(points) -> DissimilarityMatrix:
         raise ShapeError(f"need at least 2 objects, got {n}")
     if r < 1:
         raise ShapeError("feature vectors must have at least one component")
+    if not _all_finite(pts):
+        raise ShapeError("points contain non-finite entries")
     diff = pts[:, None, :] - pts[None, :, :]
     np.multiply(diff, diff, out=diff)
     return DissimilarityMatrix(np.sqrt(_squared_norms(diff)))

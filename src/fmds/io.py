@@ -234,11 +234,11 @@ def ingest_tensor(path) -> DissimilarityTensor:
     Object ids are arbitrary integers and are mapped to 0..n-1 in sorted
     order. The file must be UTF-8 text.
 
-    ``np.loadtxt`` parses a file of plain rows, as the writers make them,
-    straight from the file: rows in write order stream into the tensor a
-    chunk at a time, and any other order is read whole and sorted. Any file
-    loadtxt refuses (quoted cells, comment or whitespace-only lines in the
-    body, non-ASCII text, ``int`` spellings like ``1_0``) or that turns out
+    ``np.loadtxt`` parses a file of plain rows in write order, as the
+    writers make them, straight from the file into the tensor a chunk at a
+    time. Any other file (rows out of that order, self rows, both triangles,
+    duplicates, quoted cells, comment or whitespace-only lines in the body,
+    non-ASCII text, ``int`` spellings like ``1_0``) or one that turns out
     invalid is read by the line scan, which builds the same tensor row by
     row or names the first faulty line.
     """
@@ -285,21 +285,17 @@ def _read_header(handle) -> int | None:
     return None
 
 
-def _load_rows(handle, max_rows=None) -> np.ndarray:
+def _load_rows(handle, max_rows: int) -> np.ndarray:
     return np.loadtxt(handle, delimiter=",", comments=None, dtype=_TENSOR_ROW, ndmin=1,
                       max_rows=max_rows)
 
 
 def _array_tensor(path) -> DissimilarityTensor | None:
-    """The tensor ``np.loadtxt`` parses from the file as it stands, or None
-    if it cannot or the rows are invalid.
+    """The tensor ``np.loadtxt`` streams from the file as it stands, or None
+    if it cannot, the rows are not in write order or they are invalid.
 
     That takes only ``_PLAIN`` bytes, and a plain t,i,j,d header after only
     blank and '#' lines; loadtxt then reads the rest of the same handle.
-    Rows in write order stream into the tensor; any other body is read
-    again by one whole-file loadtxt call and checked by ``_assemble_tensor``.
-    A line loadtxt refuses is refused by both reads, so it ends the array
-    path at once.
     """
     try:
         lines = _plain_lines(path)
@@ -317,16 +313,10 @@ def _array_tensor(path) -> DissimilarityTensor | None:
                 header = _read_header(handle)
                 if header is None:
                     return None
-                tensor = _stream_tensor(handle, lines - header)
-            if tensor is not None:
-                return tensor
-            with open(path, encoding="ascii") as handle:
-                _read_header(handle)
-                table = _load_rows(handle)
+                return _stream_tensor(handle, lines - header)
     # a read fault is named by the line scan's read, a refused body by its rows
     except (OSError, ValueError, DeprecationWarning, UserWarning):
         return None
-    return _assemble_tensor(table["t"], table["i"], table["j"], table["d"])
 
 
 def _stream_tensor(handle, lines: int) -> DissimilarityTensor | None:
@@ -398,49 +388,6 @@ def _stream_tensor(handle, lines: int) -> DissimilarityTensor | None:
     if not (grid[1:] > grid[:-1]).all():
         return None
     return DissimilarityTensor._from_pairs(grid, condensed, n)
-
-
-def _assemble_tensor(t, i, j, d) -> DissimilarityTensor | None:
-    """The tensor that parsed rows describe, or None if they are invalid.
-
-    A pair's value at a time point is its first row in file order; later
-    rows for that pair must agree with it within 1e-10.
-    """
-    if not (np.isfinite(t).all() and np.isfinite(d).all()) or (d < 0).any():
-        return None
-    self_row = i == j
-    if d[self_row].any():
-        return None
-    # the first occurrence of each time names it, so a -0.0 there stays -0.0
-    times, first = np.unique(t, return_index=True)
-    grid = t[first]
-    ids = np.union1d(np.unique(i), np.unique(j))
-    m, n = times.size, ids.size
-    pairs = m * n * (n - 1) // 2
-    count = t.size - np.count_nonzero(self_row)
-    if count == 0 or count < pairs:
-        return None
-    if count < t.size:
-        pair = ~self_row
-        t, i, j, d = t[pair], i[pair], j[pair], d[pair]
-    # pair-major keys; every key is below n²·m ≤ 4·count, so it cannot
-    # overflow int64
-    key = np.searchsorted(ids, np.minimum(i, j)) * n
-    key += np.searchsorted(ids, np.maximum(i, j))
-    key *= m
-    key += np.searchsorted(times, t)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    d = d[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    if starts.size != pairs:
-        return None
-    head = d[starts]
-    if (np.abs(np.repeat(head, np.diff(starts, append=key.size)) - d) > 1e-10).any():
-        return None
-    # one value per pair key, and every key once: head runs in
-    # triu_indices order, then in time
-    return DissimilarityTensor._from_pairs(grid, head.reshape(-1, m), n)
 
 
 def _scan_tensor(path) -> DissimilarityTensor:

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import fmds.cli  # noqa: F401  (loads every module a traced CLI run touches)
+from fmds import io as fmds_io
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -75,3 +76,28 @@ def test_traced_run_enters_its_spans(tmp_path, workload):
         assert stress_calls == metrics["fitting.epochs_run"] + 1 > 1
     for gap in KNOWN_GAPS:
         assert metrics[gap + "_s"] == 0
+
+
+@pytest.mark.parametrize("workload", ["fit_adam", "cmds_ingest"])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_tensor_inputs_stream(tmp_path, monkeypatch, workload, seed):
+    """The benchmark's tensor files are in write order and stream into their
+    tensor; a change that sent them to the line scan would change what the
+    benchmark's ingest measures."""
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
+    prepare = workloads["PREPARE"][workload]
+    made = []
+    generate = prepare.__globals__["generate"]
+    monkeypatch.setitem(prepare.__globals__, "generate",
+                        lambda *a, **k: made.append(generate(*a, **k)) or made[-1])
+    argv = prepare(tmp_path, seed, workloads["SIZES"][workload]["tiny"]).argv(tmp_path / "out")
+    (_, tensor, _), = made
+
+    def refuse(*args):
+        raise AssertionError("read by the line scan")
+
+    monkeypatch.setattr(fmds_io, "_read_text", refuse)
+    monkeypatch.setattr(fmds_io, "_records", refuse)
+    back = fmds_io.ingest_tensor(argv[argv.index("--input") + 1])
+    assert back.time_grid.tobytes() == tensor.time_grid.tobytes()
+    assert back.stacked().tobytes() == tensor.stacked().tobytes()

@@ -1,5 +1,7 @@
 """Tests for dissimilarity construction and validation."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -66,6 +68,16 @@ class TestEuclidean:
     def test_single_object_rejected(self):
         with pytest.raises(ShapeError):
             euclidean_dissimilarity([[0.0, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_named_without_a_warning(self, bad):
+        pts = np.zeros((4, 2))
+        pts[2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError) as info:
+                euclidean_dissimilarity(pts)
+        assert str(info.value) == "points contain non-finite entries"
 
     @pytest.mark.parametrize("n", [2, 9, 40])
     @pytest.mark.parametrize("r", [1, 2, 3, 7, 8, 9])

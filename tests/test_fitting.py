@@ -3,6 +3,7 @@ and the pairwise Adam loop."""
 
 import functools
 import itertools
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -779,13 +780,15 @@ class TestEvaluateTrajectories:
         with pytest.raises(ShapeError, match="at least 2 objects"):
             traj.fitted_dissimilarities
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_positions_have_no_fitted_distances(self, bad):
         positions = np.zeros((3, 4, 2))
         positions[1, 2, 0] = bad
         traj = EmbeddingTrajectory(np.linspace(0.0, 1.0, 3), positions)
-        with np.errstate(invalid="ignore"), pytest.raises(ShapeError, match="non-finite"):
-            traj.fitted_dissimilarities
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="^points contain non-finite entries$"):
+                traj.fitted_dissimilarities
 
     def test_peak_memory_is_the_result(self):
         import tracemalloc

@@ -479,17 +479,17 @@ class TestIngestTensor:
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:1000] + ["\n"] + lines[1000:]))
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("sorted")
+        def refuse(*args):
+            raise AssertionError("read by the line scan")
 
-        monkeypatch.setattr(np, "argsort", refuse)
+        monkeypatch.setattr(fmds_io, "_records", refuse)
         tracemalloc.start()
         try:
             back = ingest_tensor(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the whole-file read and sort peaked at 25.2 MiB, 5.5x the tensor
+        # the line scan peaks at about 54 MiB here, 12x the tensor
         assert peak <= 1.5 * tensor.values.nbytes
         assert back.time_grid.tobytes() == tensor.time_grid.tobytes()
         assert back.stacked().tobytes() == tensor.stacked().tobytes()
@@ -508,13 +508,14 @@ class TestIngestTensor:
         assert fmds_io._plain_lines(path) is None
 
     @pytest.mark.parametrize("stream_rows", [fmds_io._STREAM_ROWS, 3, 1])
-    @pytest.mark.parametrize("variant, message", [
-        (lambda body: body[:7] + [""] + body[7:], None),
-        (lambda body: body[:7] + [body[8], body[7]] + body[9:], None),
-        (lambda body: body[:17] + [body[18], body[17]] + body[19:], None),
-        (lambda body: body[15:30] + body[:15] + body[30:], None),
-        (lambda body: body[:7] + ["0,3,3,0"] + body[7:], None),
-        (lambda body: body[:7] + [body[7]] + body[7:], None),
+    @pytest.mark.parametrize("variant, outcome", [
+        (lambda body: body[:7] + [""] + body[7:], "stream"),
+        (lambda body: body[:7] + [body[8], body[7]] + body[9:], "line scan"),
+        (lambda body: body[:17] + [body[18], body[17]] + body[19:], "line scan"),
+        (lambda body: body[15:30] + body[:15] + body[30:], "line scan"),
+        (lambda body: body[:7] + ["0,3,3,0"] + body[7:], "line scan"),
+        (lambda body: body[:7] + [body[7]] + body[7:], "line scan"),
+        (lambda body: _melted(body), "line scan"),
         (lambda body: body[:7] + body[8:], "missing pair (2, 5) at t=0.0"),
         (lambda body: body[:-1], "missing pair (5, 6) at t=1.0"),
         (lambda body: body[:16] + [body[30].split(",")[0] + body[16][body[16].index(","):]]
@@ -523,33 +524,42 @@ class TestIngestTensor:
         (lambda body: body[:7] + ["0,3,3,0.5"] + body[7:],
          "9: nonzero self-dissimilarity for object 3"),
     ], ids=["blank_line", "swapped_rows", "swapped_later_rows", "swapped_blocks", "self_row",
-            "duplicate", "missing_row", "missing_last_row", "row_at_a_later_time",
+            "duplicate", "melted", "missing_row", "missing_last_row", "row_at_a_later_time",
             "nonzero_self_row"])
-    def test_files_out_of_write_order_take_the_whole_file_read(self, tmp_path, monkeypatch,
-                                                               stream_rows, variant, message):
+    def test_files_out_of_write_order_take_the_line_scan(self, tmp_path, monkeypatch,
+                                                         stream_rows, variant, outcome):
         _, tensor, _ = generate(SyntheticScenario("smooth_rotation", n=6, m=4, seed=5))
         path = tmp_path / "t.csv"
         write_tensor(tensor, path)
         lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:1] + variant(lines[1:])) + "\n")
+        body = variant(lines[1:])
+        path.write_text("\n".join(lines[:1] + body) + "\n")
         expected = _ingest_outcome(_line_scan_tensor, path)
         monkeypatch.setattr(fmds_io, "_STREAM_ROWS", stream_rows)
-        if message is None:
-            def refuse(*args):
-                raise AssertionError("read by the line scan")
+        if outcome in ("stream", "line scan"):
+            def refuse(*args, **kwargs):
+                raise AssertionError("sorted")
 
-            # a valid file is read whole by loadtxt, never by the line scan
-            monkeypatch.setattr(fmds_io, "_records", refuse)
+            # a blank line keeps write order; any other valid variant is read
+            # by the line scan once the stream, in at most the reads of the
+            # whole body, has given up on it
+            scans, calls = [], []
+            records, loadtxt = fmds_io._records, np.loadtxt
+            monkeypatch.setattr(fmds_io, "_records", lambda *a: scans.append(a) or records(*a))
+            monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(k) or loadtxt(*a, **k))
+            monkeypatch.setattr(np, "argsort", refuse)
             back = ingest_tensor(path)
+            assert len(scans) == (outcome == "line scan")
+            assert len(calls) <= math.ceil(sum(map(bool, body)) / stream_rows)
             assert back.time_grid.tobytes() == tensor.time_grid.tobytes()
             assert back.stacked().tobytes() == tensor.stacked().tobytes()
         else:
-            assert expected.endswith(message)
+            assert expected.endswith(outcome)
         assert _ingest_outcome(ingest_tensor, path) == expected
 
     def test_loadtxt_reads_max_rows_and_leaves_the_rest_of_the_handle(self, tmp_path):
         # the stream depends on it: a numpy that read ahead would fail here
-        # rather than send every file to the whole-file read
+        # rather than send every file to the line scan
         path = _write(tmp_path, "t.csv", "t,i,j,d\n" + "".join(f"{k},1,2,{k}\n" for k in range(7)))
         with open(path, encoding="ascii") as handle:
             assert fmds_io._read_header(handle) == 1
@@ -709,6 +719,19 @@ def _line_scan_tensor(path):
                 mat[b, a] = entries[key]
         slices.append(mat)
     return DissimilarityTensor(grid, np.stack(slices))
+
+
+def _melted(body):
+    """Write-order body rows as a full matrix per time point: every (i, j)
+    in row-major order, the zero diagonal included."""
+    values = {}
+    for line in body:
+        t, i, j, d = line.split(",")
+        values[t, i, j] = values[t, j, i] = d
+    times = list(dict.fromkeys(key[0] for key in values))
+    ids = sorted({int(key[1]) for key in values})
+    return [f"{t},{i},{j},{values.get((t, str(i), str(j)), '0')}"
+            for t in times for i in ids for j in ids]
 
 
 def _ingest_outcome(reader, path):
