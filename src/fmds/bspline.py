@@ -53,7 +53,6 @@ class BasisMatrix:
     function evaluated at the j-th grid point."""
 
     values: np.ndarray
-    eval_grid: np.ndarray
     knots: KnotVector
 
 
@@ -171,7 +170,7 @@ def basis_matrix(kv: KnotVector, grid) -> BasisMatrix:
     Raises OutOfDomain naming the first grid point outside the domain.
     """
     pts = np.asarray(grid, dtype=float).ravel()
-    return BasisMatrix(_tabulate(kv, pts, kv.order), pts, kv)
+    return BasisMatrix(_tabulate(kv, pts, kv.order), kv)
 
 
 def _solve_least_squares(design: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -194,9 +193,9 @@ def smooth_least_squares(y, basis: BasisMatrix) -> SmoothCurve:
     """Least-squares fit of sampled values against a tabulated basis.
 
     Minimizes the sum of squared residuals between ``y`` and the spline
-    evaluated on ``basis.eval_grid``. The normal equations are solved
-    through an orthogonal decomposition of the design matrix rather than
-    by forming and inverting its Gram matrix.
+    evaluated on the grid the basis was tabulated on. The normal equations
+    are solved through an orthogonal decomposition of the design matrix
+    rather than by forming and inverting its Gram matrix.
 
     Raises
     ------

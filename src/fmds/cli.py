@@ -26,7 +26,7 @@ from .dissimilarity import (
     euclidean_dissimilarity,
     rolling_dissimilarity_tensor,
 )
-from .errors import ConfigError, DivergedError, FmdsError, IngestError, WindowTooLong
+from .errors import ConfigError, FmdsError, IngestError, WindowTooLong
 from .fitting import (
     CoefficientSet,
     evaluate_trajectories,
@@ -95,9 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("dissim", parents=[ingest, out], **no_defaults,
                    help="build a dissimilarity tensor from a panel")
 
-    p_verify = sub.add_parser("verify", help="cross-check fast paths against references")
-    p_verify.add_argument("--inject-fault", choices=("gradient_sign",), default=None,
-                          help="testing aid: deliberately break a check")
+    sub.add_parser("verify", help="cross-check fast paths against references")
 
     p_synth = sub.add_parser("synth", parents=[out], **no_defaults,
                              help="write a synthetic data set")
@@ -181,7 +179,7 @@ def run_cmds_command(manifest: RunManifest) -> int:
     digest = manifest.sha256()
     comments = _svg_comments(manifest)
 
-    solutions = [_solution(configuration, eigenvalues, manifest.dim)
+    solutions = [_solution(configuration, eigenvalues)
                  for block in _mds_blocks(tensor._pairs, manifest.dim)
                  for configuration, eigenvalues in zip(*block)]
 
@@ -361,15 +359,13 @@ def _random_instance(rng: np.random.Generator):
     return tensor, coeffs, kv
 
 
-def _check_pair_gradients(rng: np.random.Generator, flip_sign: bool) -> VerifyCheck:
+def _check_pair_gradients(rng: np.random.Generator) -> VerifyCheck:
     worst = 0.0
     for _ in range(10):
         tensor, coeffs, kv = _random_instance(rng)
         n = coeffs.shape[0]
         h, j = 0, n - 1
         analytic, _ = pair_gradients(coeffs[h], coeffs[j], tensor, h, j, kv)
-        if flip_sign:
-            analytic = -analytic
         numeric = central_difference_gradient(
             lambda mat: pair_stress(mat, coeffs[j], tensor, h, j, kv), coeffs[h]
         )
@@ -405,12 +401,12 @@ def _check_stress_decomposition(rng: np.random.Generator) -> VerifyCheck:
     return VerifyCheck("stress pair decomposition", 1e-10, worst)
 
 
-def verify_command(inject_fault: str | None = None) -> VerifyReport:
+def verify_command() -> VerifyReport:
     """Run the reference cross-checks; each check draws from a fixed seed."""
     rng = np.random.default_rng(2024)
     checks = (
         _check_basis_agreement(rng),
-        _check_pair_gradients(rng, flip_sign=inject_fault == "gradient_sign"),
+        _check_pair_gradients(rng),
         _check_cmds_roundtrip(rng),
         _check_stress_decomposition(rng),
     )
@@ -428,7 +424,7 @@ def _print_verify(report: VerifyReport) -> None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "verify":
-        report = verify_command(inject_fault=args.inject_fault)
+        report = verify_command()
         _print_verify(report)
         return 0 if report.passed else 4
     manifest = _manifest_from_args(args)
@@ -450,9 +446,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, WindowTooLong) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DivergedError as exc:
-        print(f"error: diverged at epoch {exc.epoch}: {exc}", file=sys.stderr)
-        return 4
     except FmdsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -45,7 +45,6 @@ class CmdsSolution:
 
     configuration: np.ndarray
     eigenvalues: np.ndarray
-    used_dim: int
     negative_mass: float
 
 
@@ -125,12 +124,12 @@ def _mds_blocks(pairs: np.ndarray, p: int) -> Iterator[tuple[np.ndarray, np.ndar
         yield _stacked_mds(block, p)
 
 
-def _solution(configuration: np.ndarray, eigenvalues: np.ndarray, p: int) -> CmdsSolution:
+def _solution(configuration: np.ndarray, eigenvalues: np.ndarray) -> CmdsSolution:
     """One slice of ``_stacked_mds`` with its negative mass."""
     total_mass = float(np.abs(eigenvalues).sum())
     negative = float(np.abs(eigenvalues[eigenvalues < 0]).sum())
     negative_mass = negative / total_mass if total_mass > 0 else 0.0
-    return CmdsSolution(configuration, eigenvalues, int(p), negative_mass)
+    return CmdsSolution(configuration, eigenvalues, negative_mass)
 
 
 def classical_mds(matrix: DissimilarityMatrix, p: int) -> CmdsSolution:
@@ -147,7 +146,7 @@ def classical_mds(matrix: DissimilarityMatrix, p: int) -> CmdsSolution:
     the sign-fixed eigenvectors lexicographically.
     """
     configurations, eigenvalues = _stacked_mds(matrix.values[None], p)
-    return _solution(configurations[0], eigenvalues[0], p)
+    return _solution(configurations[0], eigenvalues[0])
 
 
 def reconstructed_dissimilarity(solution: CmdsSolution) -> DissimilarityMatrix:

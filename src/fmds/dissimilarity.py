@@ -230,9 +230,22 @@ def euclidean_dissimilarity(points) -> DissimilarityMatrix:
         raise ShapeError("feature vectors must have at least one component")
     if not _all_finite(pts):
         raise ShapeError("points contain non-finite entries")
-    diff = pts[:, None, :] - pts[None, :, :]
-    np.multiply(diff, diff, out=diff)
-    return DissimilarityMatrix(np.sqrt(_squared_norms(diff)))
+    with np.errstate(over="ignore"):
+        diff = pts[:, None, :] - pts[None, :, :]
+        np.multiply(diff, diff, out=diff)
+        distances = np.sqrt(_squared_norms(diff))
+        if not _all_finite(distances):
+            # a square overflowed: scale each pair's differences by the power
+            # of two that brings their largest magnitude into [0.5, 1), as
+            # _power_of_two_scales does but through ldexp, which also scales
+            # a subnormal difference; only a distance beyond the double range
+            # stays infinite
+            diff = pts[:, None, :] - pts[None, :, :]
+            exponents = np.frexp(np.abs(diff).max(axis=-1, keepdims=True))[1]
+            diff = np.ldexp(diff, -exponents)
+            np.multiply(diff, diff, out=diff)
+            distances = np.ldexp(np.sqrt(_squared_norms(diff)), exponents[..., 0])
+    return DissimilarityMatrix(distances)
 
 
 def _squared_norms(squares: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -370,6 +370,9 @@ def _procrustes_rotation(source: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _resolve_layout(tensor: DissimilarityTensor, config: FitConfig) -> tuple[KnotVector, int]:
+    """The fit's knot vector and basis size; too few objects or time points raise."""
+    if tensor.n < 2:
+        raise InsufficientObjects(f"need at least 2 objects, got {tensor.n}")
     interior = (
         config.interior_knots
         if config.interior_knots is not None
@@ -394,8 +397,6 @@ def init_from_cmds(tensor: DissimilarityTensor, config: FitConfig) -> Coefficien
     smoothable. Finally every object/coordinate series is least-squares
     smoothed into one row of the coefficient matrices.
     """
-    if tensor.n < 2:
-        raise InsufficientObjects(f"need at least 2 objects, got {tensor.n}")
     knots, q = _resolve_layout(tensor, config)
     m, n, p = tensor.num_times, tensor.n, config.p
 
@@ -422,8 +423,6 @@ def _random_coefficients(tensor: DissimilarityTensor, config: FitConfig,
 
 def init_random(tensor: DissimilarityTensor, config: FitConfig) -> CoefficientSet:
     """Random coefficients, provided to quantify the warm start's value."""
-    if tensor.n < 2:
-        raise InsufficientObjects(f"need at least 2 objects, got {tensor.n}")
     knots, q = _resolve_layout(tensor, config)
     rng = np.random.default_rng(config.rng_seed)
     return CoefficientSet(_random_coefficients(tensor, config, rng, q), knots)
@@ -557,8 +556,6 @@ def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
     collapsed embedding (the sum of d**4 over pairs and times, floored at
     1), so that large units alone do not count as divergence.
     """
-    if tensor.n < 2:
-        raise InsufficientObjects(f"need at least 2 objects, got {tensor.n}")
     knots, q = _resolve_layout(tensor, config)
     n = tensor.n
     basis = basis_matrix(knots, tensor.time_grid).values
@@ -589,7 +586,7 @@ def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
         value = _stress_value(coeffs, pairs, basis)
         epochs = epoch + 1
         if not np.isfinite(value) or value > overflow:
-            raise DivergedError(f"stress {value} at epoch {epoch}", epoch=epoch)
+            raise DivergedError(f"diverged at epoch {epoch}: stress {value}", epoch=epoch)
         stress_log.append(value)
         displacement = float(np.sqrt(((coeffs - before) ** 2).sum(axis=(1, 2))).max())
         disp_log.append(displacement)

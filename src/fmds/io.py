@@ -33,8 +33,6 @@ _INT64 = range(-(2**63), 2**63)
 # splits exactly as str.splitlines does. '#' and '"' pass, for the comment
 # lines before the header; loadtxt refuses a body line that holds one.
 _PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n\r"
-# every byte but the line ends to b"x", so b"x\n" and b"x\r" end non-empty lines
-_LINE_TEXT = bytes(b if b in b"\n\r" else ord("x") for b in range(256))
 _SCAN_CHUNK = 1 << 20
 # Rows per np.loadtxt call while a file in write order streams into its
 # tensor: 64 KiB of parsed rows, below glibc's default 128 KiB mmap threshold,
@@ -260,14 +258,13 @@ def _plain_lines(path) -> int | None:
         while chunk := handle.read(_SCAN_CHUNK):
             if chunk.translate(None, _PLAIN):
                 return None
-            # count the line ends that follow a byte of text
-            if b"\r" in chunk:
-                text = (last + chunk).translate(_LINE_TEXT)
-                lines += text.count(b"x\n") + text.count(b"x\r")
-            else:
-                ends = np.frombuffer(chunk, np.uint8) == ord("\n")
-                lines += np.count_nonzero(ends[1:] > ends[:-1])
-                lines += bool(ends[0]) and last not in b"\r\n"
+            # a line ends at each '\n' or '\r' that follows a byte of text;
+            # the chunk's first byte follows the last byte of the one before
+            text = np.frombuffer(chunk, np.uint8)
+            ends = text == ord("\n")
+            ends |= text == ord("\r")
+            lines += np.count_nonzero(ends[1:] > ends[:-1])
+            lines += bool(ends[0]) and last not in b"\r\n"
             last = chunk[-1:]
     # a last line without a line end
     return lines + (last not in b"\r\n")

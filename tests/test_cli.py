@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fmds import dissimilarity, fitting
+from fmds import cli, dissimilarity, fitting
 from fmds.cli import _FIELD_OF_FLAG, _manifest_from_args, build_parser, main, verify_command
+from fmds.fitting import pair_gradients
 from fmds.io import ingest_tensor
 from fmds.manifest import RunManifest
 
@@ -50,7 +51,7 @@ class TestArguments:
         fields = set(RunManifest.__dataclass_fields__)
         for name, parser in commands.choices.items():
             for action in parser._actions:
-                if action.dest not in ("help", "inject_fault"):
+                if action.dest != "help":
                     assert _FIELD_OF_FLAG.get(action.dest, action.dest) in fields, \
                         (name, action.dest)
 
@@ -243,10 +244,13 @@ class TestFmdsCommand:
         err = capsys.readouterr().err
         assert f"{tensor}:2: not UTF-8 text" in err and f"{panel}:3: not UTF-8 text" in err
 
-    def test_divergence_exit(self, rotation_tensor, tmp_path):
+    def test_divergence_exit(self, rotation_tensor, tmp_path, capsys):
         assert _run("fmds", "--input", rotation_tensor, "--knots", "2",
                     "--alpha", "10.0", "--baseline", "gd", "--init", "random",
                     "--max-epochs", "50", "--out", tmp_path / "f") == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: diverged at epoch ")
+        assert line.count("epoch") == 1
 
     @pytest.mark.parametrize("fit_args", [
         (),
@@ -375,10 +379,15 @@ class TestVerify:
             assert check.tolerance > 0
             assert check.max_deviation >= 0
 
-    def test_fault_injection_fails_gradient_check(self, capsys):
-        assert _run("verify", "--inject-fault", "gradient_sign") == 4
+    def test_fault_injection_fails_gradient_check(self, capsys, monkeypatch):
+        def flipped(*args):
+            g_h, g_j = pair_gradients(*args)
+            return -g_h, -g_j
+
+        monkeypatch.setattr(cli, "pair_gradients", flipped)
+        assert _run("verify") == 4
         out = capsys.readouterr().out
         assert "FAIL" in out
-        report = verify_command(inject_fault="gradient_sign")
+        report = verify_command()
         names = [c.name for c in report.checks if not c.passed]
         assert names == ["pair gradients vs central differences"]

@@ -228,7 +228,7 @@ class TestStackedPass:
         h, j = np.triu_indices(n, 1)
         blocks = list(_mds_blocks(stack.transpose(1, 2, 0)[h, j], p))
         assert step > 1 and [len(c) for c, _ in blocks] == [step, step, step, 1]
-        stacked = [_solution(c, e, p) for cs, es in blocks for c, e in zip(cs, es)]
+        stacked = [_solution(c, e) for cs, es in blocks for c, e in zip(cs, es)]
         for values, solution in zip(stack, stacked):
             configuration, evals, negative = _per_slice_mds(values, p)
             single = classical_mds(DissimilarityMatrix(values), p)

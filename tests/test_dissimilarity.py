@@ -88,6 +88,35 @@ class TestEuclidean:
         expected = np.sqrt((diff * diff).sum(axis=-1))
         assert np.array_equal(euclidean_dissimilarity(pts).values, expected)
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 9])
+    def test_finite_sums_of_squares_keep_their_bits(self, r):
+        # squares from overflow's edge down into the subnormals, all finite
+        rng = np.random.default_rng(r)
+        pts = rng.normal(size=(12, r)) * 10.0 ** rng.integers(-170, 150, size=(12, r))
+        diff = pts[:, None, :] - pts[None, :, :]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = np.sqrt((diff * diff).sum(axis=-1))
+        assert np.isfinite(expected).all()
+        assert np.array_equal(euclidean_dissimilarity(pts).values, expected)
+
+    def test_distances_whose_squares_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = euclidean_dissimilarity([[1e200, 0], [0, 0], [0, 1e-200]]).values
+            assert euclidean_dissimilarity([[3e200, 4e200], [0, 0]]).values[0, 1] == \
+                pytest.approx(5e200, rel=1e-15)
+        assert np.array_equal(got, got.T) and not got.diagonal().any()
+        # each pair is scaled on its own, so the tiny distance is exact too
+        assert (got[0, 1], got[0, 2], got[1, 2]) == (1e200, 1e200, 1e-200)
+
+    @pytest.mark.parametrize("pts", [[[1e308, 0], [-1e308, 0]], [[1.5e308, 1.5e308], [0, 0]]])
+    def test_distance_beyond_the_double_range_rejected(self, pts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="non-finite"):
+                euclidean_dissimilarity(pts)
+
 
 class TestCorrelation:
     def test_perfect_positive(self):

@@ -544,6 +544,13 @@ class TestFit:
         with pytest.raises(InsufficientObjects):
             fit(tensor, FitConfig(p=1, interior_knots=1))
 
+    @pytest.mark.parametrize("start", [fit, init_from_cmds, init_random])
+    def test_single_object_rejected_before_the_grid(self, start):
+        # 3 time points cannot determine 5 coefficients either
+        tensor = DissimilarityTensor(np.linspace(0, 1, 3), np.zeros((3, 1, 1)))
+        with pytest.raises(InsufficientObjects):
+            start(tensor, FitConfig(p=1, interior_knots=1))
+
     def test_stress_trajectory_shape(self):
         scen = SyntheticScenario("smooth_rotation", n=3, m=16, seed=4)
         _, tensor, _ = generate(scen)

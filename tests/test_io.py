@@ -861,6 +861,19 @@ if st is not None:
                        "not_utf8"):
             assert isinstance(expected, str)
 
+    @settings(max_examples=300)
+    @given(data=st.lists(st.one_of(
+        st.sampled_from([b"\r", b"\n", b"\r\n", b"\n\n", b"\r\r", b" ", b"  ", b"\t"]),
+        st.sampled_from(fmds_io._PLAIN).map(lambda b: bytes([b])))).map(b"".join),
+        chunk=st.integers(1, 7))
+    def test_plain_lines_match_universal_newlines(tmp_path_factory, data, chunk):
+        path = tmp_path_factory.mktemp("lines") / "t.csv"
+        path.write_bytes(data)
+        lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fmds_io, "_SCAN_CHUNK", chunk)
+            assert fmds_io._plain_lines(path) == sum(map(bool, lines))
+
     @pytest.mark.parametrize("size", [1, 2, 3, 5])
     @settings(max_examples=200)
     @given(text=st.lists(st.sampled_from(_BREAKS + ("a", "bc", "#", '"', " "))).map("".join))
