@@ -21,6 +21,9 @@ from .errors import ConfigError, DegenerateSeries, ShapeError, WindowTooLong
 # many bytes.
 _BLOCK_BYTES = 1 << 20
 
+# the smallest normal float64
+_TINY = np.finfo(float).tiny
+
 
 def _all_finite(values: np.ndarray) -> bool:
     """Whether every entry is finite. A sum of finite values is finite
@@ -233,18 +236,21 @@ def euclidean_dissimilarity(points) -> DissimilarityMatrix:
     with np.errstate(over="ignore"):
         diff = pts[:, None, :] - pts[None, :, :]
         np.multiply(diff, diff, out=diff)
-        distances = np.sqrt(_squared_norms(diff))
-        if not _all_finite(distances):
-            # a square overflowed: scale each pair's differences by the power
-            # of two that brings their largest magnitude into [0.5, 1), as
-            # _power_of_two_scales does but through ldexp, which also scales
-            # a subnormal difference; only a distance beyond the double range
+        squares = _squared_norms(diff)
+        # the diagonal's n sums are 0; any other sum below the normal range
+        # may have lost its squares to underflow
+        small = squares < _TINY
+        distances = np.sqrt(squares, out=squares)
+        if np.count_nonzero(small) > n or not _all_finite(distances):
+            # redo each pair whose sum of squares underflowed or overflowed
+            # on its differences scaled into [0.5, 1); points that coincide
+            # still give 0, and only a distance beyond the double range
             # stays infinite
-            diff = pts[:, None, :] - pts[None, :, :]
-            exponents = np.frexp(np.abs(diff).max(axis=-1, keepdims=True))[1]
-            diff = np.ldexp(diff, -exponents)
-            np.multiply(diff, diff, out=diff)
-            distances = np.ldexp(np.sqrt(_squared_norms(diff)), exponents[..., 0])
+            h, j = np.nonzero(small | (distances == np.inf))
+            scaled = pts[h] - pts[j]
+            exponents = _power_of_two_scale(scaled)
+            np.multiply(scaled, scaled, out=scaled)
+            distances[h, j] = np.ldexp(np.sqrt(_squared_norms(scaled)), exponents[:, 0])
     return DissimilarityMatrix(distances)
 
 
@@ -261,11 +267,15 @@ def _squared_norms(squares: np.ndarray, out: np.ndarray | None = None) -> np.nda
     return out
 
 
-def _power_of_two_scales(series: np.ndarray) -> np.ndarray:
-    """Per series along the last axis, the power of two that brings its
-    largest magnitude into [0.5, 1). Scaling by it is exact and leaves the
-    correlation unchanged, and the sums of squares then cannot overflow."""
-    return np.ldexp(1.0, -np.frexp(np.abs(series).max(axis=-1, keepdims=True))[1])
+def _power_of_two_scale(values: np.ndarray) -> np.ndarray:
+    """Scale ``values`` in place, per series along the last axis, by the
+    power of two that brings its largest magnitude into [0.5, 1), and return
+    the exponents e that undo it through ldexp. Scaling is exact unless an
+    entry falls below the normal range; it leaves a correlation unchanged and
+    keeps sums of squares from overflowing."""
+    exponents = np.frexp(np.abs(values).max(axis=-1, keepdims=True))[1]
+    np.ldexp(values, -exponents, out=values)
+    return exponents
 
 
 def correlation(y_i, y_j) -> float:
@@ -273,14 +283,15 @@ def correlation(y_i, y_j) -> float:
 
     Raises DegenerateSeries when either series is constant.
     """
-    a = np.asarray(y_i, dtype=float).ravel()
-    b = np.asarray(y_j, dtype=float).ravel()
+    # copies, as they are scaled in place
+    a = np.array(y_i, dtype=float).ravel()
+    b = np.array(y_j, dtype=float).ravel()
     if a.size != b.size:
         raise ShapeError(f"series lengths differ: {a.size} vs {b.size}")
     if a.size < 2:
         raise ShapeError("correlation needs at least 2 observations")
-    a = a * _power_of_two_scales(a)
-    b = b * _power_of_two_scales(b)
+    _power_of_two_scale(a)
+    _power_of_two_scale(b)
     da = a - a.mean()
     db = b - b.mean()
     ss_a = float(da @ da)
@@ -302,7 +313,7 @@ def _correlation_windows(panel: ObjectPanel, start: int, count: int, stride: int
     windows = np.lib.stride_tricks.sliding_window_view(panel.values, length, axis=1)
     # a C-ordered copy, so every windowed series is contiguous
     centered = windows[:, start:start + count * stride:stride].transpose(1, 0, 2).copy()
-    centered *= _power_of_two_scales(centered)
+    _power_of_two_scale(centered)
     centered -= centered.mean(axis=2, keepdims=True)
     sumsq = (centered * centered).sum(axis=2)
     constant = np.argwhere(sumsq == 0.0)

@@ -87,6 +87,9 @@ class CoefficientSet:
         return self.coefficients.shape[2]
 
 
+_INIT_MODES = ("cmds_warm", "random")
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Fit hyperparameters.
@@ -120,9 +123,9 @@ class FitConfig:
             raise ConfigError(f"convergence tolerance must be positive, got {self.eps}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be at least 1, got {self.max_epochs}")
-        if self.init_mode not in ("cmds_warm", "random"):
+        if self.init_mode not in _INIT_MODES:
             raise ConfigError(f"unknown init mode {self.init_mode!r}")
-        if self.baseline not in ("adam", "full_batch_gd"):
+        if self.baseline not in _METHODS:
             raise ConfigError(f"unknown baseline {self.baseline!r}")
 
 
@@ -407,7 +410,9 @@ def init_from_cmds(tensor: DissimilarityTensor, config: FitConfig) -> Coefficien
 
     basis = basis_matrix(knots, tensor.time_grid)
     solution = _solve_least_squares(basis.values, aligned.reshape(m, n * p))
-    return CoefficientSet(solution.T.reshape(n, p, q), knots)
+    # a C-ordered copy of the strided view that the reshape gives, as numpy's
+    # products round differently on that layout
+    return CoefficientSet(np.ascontiguousarray(solution.T.reshape(n, p, q)), knots)
 
 
 def _random_coefficients(tensor: DissimilarityTensor, config: FitConfig,
@@ -438,8 +443,11 @@ class _PairwiseAdam:
     ``epoch`` gives bit for bit the results of calling ``_pair_grad`` and
     then ``reference.AdamState.step`` for h and for j at every pair, in
     order. The j-side steps (gradient -g) of a row are kept and applied as
-    one batch at the end of the row, as ``fit`` explains; each element still
-    goes through the same arithmetic as in the reference, in fewer numpy calls.
+    one batch at the end of the row. This is exact: each j is visited once
+    in the row and neither its coefficients nor its moments are read again
+    before the row ends, so only the steps for h depend on their order. Each
+    element still goes through the same arithmetic as in the reference, in
+    fewer numpy calls.
     """
 
     def __init__(self, n: int, p: int, q: int, basis: np.ndarray, alpha: float,
@@ -535,21 +543,36 @@ class _PairwiseAdam:
             coeffs[later] += out
 
 
+def _adam_epochs(coeffs, pairs, basis, config, rng):
+    """The pairwise Adam epoch: every pair (h, j), h < j, with the rows h
+    in shuffled order; moments and per-object bias-correction counters
+    persist across epochs."""
+    n, p, q = coeffs.shape
+    adam = _PairwiseAdam(n, p, q, basis, config.alpha, config.gamma1, config.gamma2)
+    return lambda: adam.epoch(coeffs, pairs, rng.permutation(n - 1))
+
+
+def _gd_epochs(coeffs, pairs, basis, config, rng):
+    """One plain gradient step on the full objective per epoch."""
+    return lambda: np.subtract(coeffs, config.alpha * _full_gradients(coeffs, pairs, basis),
+                               out=coeffs)
+
+
+# Each ``baseline``'s optimiser: called once per fit with (coeffs, pairs,
+# basis, config, rng), it returns the call that runs one epoch on ``coeffs``
+# in place.
+_METHODS = {"adam": _adam_epochs, "full_batch_gd": _gd_epochs}
+
+
 def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
     """Fit embedding trajectories to a dissimilarity tensor.
 
-    Runs the pairwise Adam scheme (or, with ``baseline="full_batch_gd"``,
-    one plain gradient step on the full objective per epoch). An epoch
-    visits every pair (h, j), h < j, with the h values shuffled; moments
-    and per-object bias-correction counters persist across epochs.
+    Starts from the per-slice CMDS warm start (or, with
+    ``init_mode="random"``, random coefficients) and runs epochs of
+    ``config.baseline``'s entry of ``_METHODS``: the pairwise Adam scheme by
+    default, or one plain gradient step on the full objective per epoch.
     Convergence is declared when no coefficient matrix moved more than
     ``config.eps`` in Frobenius norm over a full epoch.
-
-    Within the row of one h, the steps for the second objects j are applied
-    together at the end of the row. This is exact: each j is visited once
-    in the row and neither its coefficients nor its moments are read again
-    before the row ends, so only the steps for h depend on their order. The
-    result is bit for bit that of applying every pair's two steps in turn.
 
     Raises DivergedError, reporting the epoch, if the stress becomes
     non-finite or exceeds ``STRESS_OVERFLOW`` times the stress of the
@@ -557,20 +580,18 @@ def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
     1), so that large units alone do not count as divergence.
     """
     knots, q = _resolve_layout(tensor, config)
-    n = tensor.n
     basis = basis_matrix(knots, tensor.time_grid).values
     # every kernel squares d as it reads it, so no squared copy exists
     pairs = tensor._pairs
 
     rng = np.random.default_rng(config.rng_seed)
     if config.init_mode == "cmds_warm":
-        coeffs = init_from_cmds(tensor, config).coefficients.copy()
+        coeffs = init_from_cmds(tensor, config).coefficients
     else:
         coeffs = _random_coefficients(tensor, config, rng, q)
-
     initial_stress = _stress_value(coeffs, pairs, basis)
     overflow = STRESS_OVERFLOW * max(1.0, _collapsed_stress(pairs))
-    adam = _PairwiseAdam(n, config.p, q, basis, config.alpha, config.gamma1, config.gamma2)
+    epoch_step = _METHODS[config.baseline](coeffs, pairs, basis, config, rng)
 
     stress_log: list[float] = []
     disp_log: list[float] = []
@@ -578,10 +599,7 @@ def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
     epochs = 0
     for epoch in range(config.max_epochs):
         before = coeffs.copy()
-        if config.baseline == "adam":
-            adam.epoch(coeffs, pairs, rng.permutation(n - 1))
-        else:
-            coeffs -= config.alpha * _full_gradients(coeffs, pairs, basis)
+        epoch_step()
 
         value = _stress_value(coeffs, pairs, basis)
         epochs = epoch + 1

@@ -22,6 +22,7 @@ from fmds import (
     rolling_dissimilarity_tensor,
     validate,
 )
+from fmds.dissimilarity import _power_of_two_scale
 from fmds.io import ingest_tensor, write_tensor
 
 
@@ -117,6 +118,16 @@ class TestEuclidean:
             with pytest.raises(ShapeError, match="non-finite"):
                 euclidean_dissimilarity(pts)
 
+    def test_distances_whose_squares_underflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = euclidean_dissimilarity([[1e-200, 0], [0, 0]]).values
+            both = euclidean_dissimilarity([[1e-160, 1e-160], [0, 0]]).values
+        assert tiny[0, 1] == tiny[1, 0] == 1e-200
+        expected = np.hypot(1e-160, 1e-160)
+        assert both[0, 1] == both[1, 0]
+        assert abs(both[0, 1] - expected) <= np.spacing(expected)
+
 
 class TestCorrelation:
     def test_perfect_positive(self):
@@ -151,6 +162,31 @@ class TestCorrelation:
         assert tensor._pairs[0, 0] == pytest.approx((1.0 - expected) / 2.0, rel=1e-15)
         assert tensor._pairs[0, 0] == pytest.approx(0.40550888, abs=1e-8)
         assert correlation_dissimilarity(panel, (0, 3)).values[0, 1] == tensor._pairs[0, 0]
+
+    def test_inputs_left_unscaled(self):
+        a, b = np.array([4.0, 1.0, 3.0]), np.array([1.0, 2.0, 8.0])
+        correlation(a, b)
+        assert a.tolist() == [4.0, 1.0, 3.0] and b.tolist() == [1.0, 2.0, 8.0]
+
+    def test_subnormal_series(self):
+        # the largest magnitude is subnormal, so the power of two that scales
+        # it into [0.5, 1) is beyond the double range; ldexp applies it anyway
+        series = [5e-324, 0.0, 1e-323]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = correlation(series, [1.0, 2.0, 3.0])
+            tensor = rolling_dissimilarity_tensor(_panel([series, [1.0, 2.0, 3.0]]),
+                                                  "correlation", 3)
+        assert got == correlation([1.0, 0.0, 2.0], [1.0, 2.0, 3.0]) == 0.5
+        low, high = np.array(series), np.array([1.0, 0.0, 2.0])
+        _power_of_two_scale(low)
+        _power_of_two_scale(high)
+        assert np.array_equal(low, high)
+        # the same scaled series, so the same bits as the normal panel's
+        normal = rolling_dissimilarity_tensor(_panel([[1.0, 0.0, 2.0], [1.0, 2.0, 3.0]]),
+                                              "correlation", 3)
+        assert np.isfinite(tensor._pairs).all()
+        assert np.array_equal(tensor._pairs, normal._pairs)
 
 
 class TestCorrelationDissimilarity:

@@ -656,6 +656,27 @@ class TestFit:
         assert f_adam == pytest.approx(8.1221898708942547e-09, rel=1e-6)
         assert f_gd == pytest.approx(8.5520069554111781e-09, rel=1e-6)
 
+    def test_full_batch_gd_builds_no_adam_state(self, monkeypatch):
+        def no_adam(*args):
+            raise AssertionError("full_batch_gd built the pairwise Adam state")
+
+        monkeypatch.setattr("fmds.fitting._PairwiseAdam", no_adam)
+        scen = SyntheticScenario("smooth_rotation", n=4, m=20, seed=3)
+        _, tensor, _ = generate(scen)
+        result = fit(tensor, FitConfig(p=2, interior_knots=2, alpha=1e-4, eps=1e-30,
+                                       max_epochs=5, baseline="full_batch_gd"))
+        assert result.epochs_run == 5
+
+    def test_initial_stress_is_the_warm_starts_stress(self):
+        # the warm start comes C-ordered, the layout fit's epochs run on
+        # (numpy's products round differently on a strided one), and fit
+        # starts from it as it is, so one start gives one stress
+        _, tensor, _ = generate(SyntheticScenario("smooth_rotation", n=5, m=40, seed=42))
+        config = FitConfig(p=2, interior_knots=4, max_epochs=1)
+        start = init_from_cmds(tensor, config)
+        assert start.coefficients.flags.c_contiguous
+        assert fit(tensor, config).initial_stress == stress(start, tensor)
+
 
 class TestPairwiseAdamKernel:
     @staticmethod

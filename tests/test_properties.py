@@ -1,6 +1,6 @@
 """Property tests: invariances of the correlation dissimilarity, the
-B-spline basis and the stress, and the condensed storage of tensors, over
-generated inputs."""
+B-spline basis, the stress and the full-batch fit, and the condensed storage
+of tensors, over generated inputs."""
 
 import numpy as np
 import pytest
@@ -12,10 +12,14 @@ from fmds import (  # noqa: E402
     CoefficientSet,
     DissimilarityMatrix,
     DissimilarityTensor,
+    FitConfig,
     ObjectPanel,
+    SyntheticScenario,
     basis_matrix,
     classical_mds,
     euclidean_dissimilarity,
+    fit,
+    generate,
     make_knots,
     rolling_dissimilarity_tensor,
     stress,
@@ -255,3 +259,53 @@ def test_stress_invariant_under_relabelling(case, data):
     base = stress(CoefficientSet(coeffs, knots), tensor)
     moved = stress(CoefficientSet(coeffs[perm], knots), relabelled)
     assert abs(moved - base) <= _stress_rounding(coeffs, knots, tensor)
+
+
+# The full-batch gradient step has no visiting order, so relabelling the
+# objects or moving the time axis leaves its fit unchanged but for rounding.
+GD_EPOCHS = FitConfig(p=2, alpha=1e-4, max_epochs=20, baseline="full_batch_gd")
+
+
+def _gd_stress(tensor):
+    """stress_per_epoch of 20 warm-started full-batch epochs."""
+    result = fit(tensor, GD_EPOCHS)
+    assert result.epochs_run == 20
+    return result.stress_per_epoch
+
+
+@st.composite
+def walk_tensors(draw):
+    """A warm-startable random_walk_smoothed tensor of 3 to 8 objects."""
+    scenario = SyntheticScenario("random_walk_smoothed", n=draw(st.integers(3, 8)),
+                                 m=draw(st.integers(6, 30)), seed=draw(SEEDS))
+    return generate(scenario)[1]
+
+
+@settings(deadline=None, max_examples=30)
+@given(walk_tensors(), st.data())
+def test_full_batch_fit_invariant_under_relabelling(tensor, data):
+    perm = np.array(data.draw(st.permutations(range(tensor.n)), label="perm"))
+    relabelled = DissimilarityTensor(tensor.time_grid, tensor.values[:, perm][:, :, perm])
+    base, moved = _gd_stress(tensor), _gd_stress(relabelled)
+    # relabelling reorders the sums of the stress and the gradient and the
+    # rows of each slice's eigenproblem, each a rounding of about EPS
+    # relative, which 20 steps carry forward: the worst of 120 cases was
+    # 4.9e-15 relative, so 1e-12 leaves room for rounding and is far below
+    # what the 20 steps change (a few percent)
+    assert (np.abs(moved - base) / base).max() <= 1e-12
+
+
+@settings(deadline=None, max_examples=30)
+@given(walk_tensors(), st.floats(-1e3, 1e3), st.floats(-3.0, 3.0))
+@example(generate(SyntheticScenario("random_walk_smoothed", n=5, m=19, seed=7))[1], 1e3, -3.0)
+def test_full_batch_fit_invariant_under_a_time_affine_map(tensor, shift, log_scale):
+    grid = shift + 10.0**log_scale * tensor.time_grid
+    base = _gd_stress(tensor)
+    moved = _gd_stress(DissimilarityTensor(grid, tensor.values))
+    # the basis depends on t only through (t - t_0) / (t_last - t_0); the
+    # mapped grid and its knots are each rounded to EPS of their magnitude,
+    # which moves that ratio by about kappa * EPS, kappa = max |t'| / span.
+    # The basis slopes and the fit's 20 steps scale it by a constant that
+    # measured at most 26 over 120 cases (kappa up to 1e6); 2^10 leaves room
+    kappa = np.abs(grid).max() / (grid[-1] - grid[0])
+    assert (np.abs(moved - base) / base).max() <= 1e-13 + 2.0**10 * kappa * EPS
