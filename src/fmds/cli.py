@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io, svgplot
 from .bspline import eval_basis, make_knots
-from .cmds import _mds_blocks, _solution, classical_mds, reconstructed_dissimilarity
+from .cmds import _mds_slices, _solution, classical_mds, reconstructed_dissimilarity
 from .dissimilarity import (
     DissimilarityTensor,
     euclidean_dissimilarity,
@@ -180,8 +180,7 @@ def run_cmds_command(manifest: RunManifest) -> int:
     comments = _svg_comments(manifest)
 
     solutions = [_solution(configuration, eigenvalues)
-                 for block in _mds_blocks(tensor._pairs, manifest.dim)
-                 for configuration, eigenvalues in zip(*block)]
+                 for configuration, eigenvalues in _mds_slices(tensor._pairs, manifest.dim)]
 
     slice_summaries = []
     for k, solution in enumerate(solutions):

@@ -20,18 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissimilarity import DissimilarityMatrix, _slice_blocks, euclidean_dissimilarity
+from .dissimilarity import DissimilarityMatrix, _block_items, _slice_blocks, euclidean_dissimilarity
 from .errors import DimError, NumericalError, ShapeError
 
 _SIGN_FLOOR = 1e-12
-
-# A block takes as many slices as keep them and their temporaries, about four
-# (n, n) float arrays per slice, within this many bytes: 2 slices at n = 40.
-# Blocks of 20 slices there ran the walk about a fifth faster, but on
-# panel_corr they left the run's peak RSS 1.1 MiB higher in most runs (glibc's
-# dynamic mmap threshold: with it fixed, both block sizes match the per-slice
-# loop).
-_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,18 +102,14 @@ def _stacked_mds(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return columns.transpose(0, 2, 1), ranked
 
 
-def _block_slices(n: int) -> int:
-    """Slices per block of ``_mds_blocks``."""
-    return max(1, _BLOCK_BYTES // (4 * 8 * n * n))
-
-
-def _mds_blocks(pairs: np.ndarray, p: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``_stacked_mds`` of the slices of a tensor's condensed
-    (n(n-1)/2, m) pairs, one block of slices at a time, each block rebuilt
-    from the pairs."""
+def _mds_slices(pairs: np.ndarray, p: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The configuration and eigenvalues of ``_stacked_mds`` for each slice of
+    a tensor's condensed (n(n-1)/2, m) pairs, one slice at a time. The slices
+    are solved a block at a time, each block rebuilt from the pairs."""
     n = (1 + math.isqrt(1 + 8 * len(pairs))) // 2
-    for block in _slice_blocks(pairs, n, _block_slices(n)):
-        yield _stacked_mds(block, p)
+    # every block array takes at most n * n floats per slice
+    for block in _slice_blocks(pairs, n, _block_items(8 * n * n)):
+        yield from zip(*_stacked_mds(block, p))
 
 
 def _solution(configuration: np.ndarray, eigenvalues: np.ndarray) -> CmdsSolution:

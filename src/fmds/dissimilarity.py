@@ -16,11 +16,6 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSeries, ShapeError, WindowTooLong
 
-# The rolling correlation takes as many windows at a time as keep all of a
-# block's temporaries, about five (n, n) float arrays per window, within this
-# many bytes.
-_BLOCK_BYTES = 1 << 20
-
 # the smallest normal float64
 _TINY = np.finfo(float).tiny
 
@@ -42,11 +37,6 @@ def _checked_grid(grid, size: int) -> np.ndarray:
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ShapeError("time grid must be strictly increasing")
     return grid
-
-
-def _block_windows(n: int, length: int) -> int:
-    """Windows per block of the rolling correlation."""
-    return max(1, _BLOCK_BYTES // (5 * 8 * n * max(n, length)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,6 +125,22 @@ class DissimilarityTensor:
         return self.values
 
 
+# glibc's default mmap threshold. A blocked pass (the rolling correlation's
+# windows, the warm start's and ``fmds cmds``'s CMDS slices) keeps each float64
+# block array, malloc's 16-byte chunk header included, below it, so blocks
+# come from the heap and go back to it. Freeing an mmapped array would raise
+# glibc's dynamic threshold, and memory freed later would then stay resident:
+# 20-slice CMDS blocks left panel_corr's peak RSS 1.1-1.4 MiB higher.
+_BLOCK_BYTES = 1 << 17
+
+
+def _block_items(item_bytes: int) -> int:
+    """Items per block of a blocked pass whose block arrays each take at most
+    ``item_bytes`` per item: at least 1, and otherwise as many as keep
+    items * item_bytes + 16 below ``_BLOCK_BYTES``."""
+    return max(1, (_BLOCK_BYTES - 17) // item_bytes)
+
+
 def _slice_blocks(pairs: np.ndarray, n: int, step: int | None = None):
     """The exactly symmetric, zero-diagonal (n, n) matrices of the columns of
     condensed pairs, ``step`` columns at a time (all at once by default),
@@ -172,7 +178,7 @@ class ObjectPanel:
             )
         if len(set(labels)) != len(labels):
             raise ShapeError("object labels must be unique")
-        if not np.all(np.isfinite(vals)):
+        if not _all_finite(vals):
             raise ShapeError("panel contains missing or non-finite entries")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise ShapeError("panel time grid must be strictly increasing")
@@ -381,7 +387,9 @@ def rolling_dissimilarity_tensor(
     count = len(range(window_len, m + 1, stride))
     pairs = np.empty((panel.n * (panel.n - 1) // 2, count))
     if metric == "correlation":
-        step = _block_windows(panel.n, window_len)
+        # the windowed series take n * window_len floats per window, the
+        # products and correlations n * n
+        step = _block_items(8 * panel.n * max(panel.n, window_len))
         for first in range(0, count, step):
             block = pairs[:, first:first + step]
             block[...] = _correlation_windows(panel, first * stride, block.shape[1], stride,

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .bspline import KnotVector, basis_matrix, make_knots, _solve_least_squares
-from .cmds import _mds_blocks
+from .cmds import _mds_slices
 from .dissimilarity import DissimilarityTensor, _squared_norms, euclidean_dissimilarity
 from .errors import (
     ConfigError,
@@ -46,7 +46,7 @@ CUBIC_ORDER = 4
 _DENOM_SHIFT = 1e-8
 
 # numpy sums a contiguous float64 array pairwise: it splits a range at half
-# its length, rounded down to a multiple of 8, down to blocks of 128. A range
+# its length, rounded down to a multiple of 8, down to ranges of 128. A range
 # of at most this many elements is a leaf of ``_tree_sum``: one np.sum,
 # which follows the same tree inside it.
 _LEAF = 1 << 16
@@ -115,12 +115,12 @@ class FitConfig:
             raise ConfigError(f"embedding dimension must be at least 1, got {self.p}")
         if self.interior_knots is not None and self.interior_knots < 0:
             raise ConfigError(f"interior knot count must be nonnegative, got {self.interior_knots}")
-        if self.alpha <= 0:
-            raise ConfigError(f"step size must be positive, got {self.alpha}")
+        if not 0 < self.alpha < np.inf:
+            raise ConfigError(f"step size must be positive and finite, got {self.alpha}")
         if not 0 <= self.gamma1 < 1 or not 0 <= self.gamma2 < 1:
             raise ConfigError("decay rates must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ConfigError(f"convergence tolerance must be positive, got {self.eps}")
+        if not 0 < self.eps < np.inf:
+            raise ConfigError(f"convergence tolerance must be positive and finite, got {self.eps}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be at least 1, got {self.max_epochs}")
         if self.init_mode not in _INIT_MODES:
@@ -248,7 +248,7 @@ def _stress_value(coeffs: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> f
     n, m, p = pos.shape
     # one object's pairs within one leaf: no more than n - 1 or _sum_rows's buffer
     rows = min(n - 1, _LEAF // m + 2)
-    block = np.empty((rows, m, p))
+    scratch = np.empty((rows, m, p))
     sums = np.empty((rows, m))
     # one past the last pair row of each object h
     ends = list(itertools.accumulate(range(n - 1, 0, -1)))
@@ -261,7 +261,7 @@ def _stress_value(coeffs: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> f
             end = min(stop, ends[h])
             # row holds the pair (h, j)
             j = row + n - ends[h]
-            diff, sq = block[:end - row], sums[:end - row]
+            diff, sq = scratch[:end - row], sums[:end - row]
             np.subtract(pos[h], pos[j:j + end - row], out=diff)
             np.multiply(diff, diff, out=diff)
             resid = out[row - first:end - first]
@@ -404,8 +404,7 @@ def init_from_cmds(tensor: DissimilarityTensor, config: FitConfig) -> Coefficien
     m, n, p = tensor.num_times, tensor.n, config.p
 
     aligned = np.empty((m, n, p))
-    slices = (embedded for block, _ in _mds_blocks(tensor._pairs, p) for embedded in block)
-    for k, embedded in enumerate(slices):
+    for k, (embedded, _) in enumerate(_mds_slices(tensor._pairs, p)):
         aligned[k] = embedded @ _procrustes_rotation(embedded, aligned[k - 1]) if k else embedded
 
     basis = basis_matrix(knots, tensor.time_grid)
@@ -419,7 +418,7 @@ def _random_coefficients(tensor: DissimilarityTensor, config: FitConfig,
                          rng: np.random.Generator, q: int) -> np.ndarray:
     """Uniform coefficients on [-0.5, 0.5] scaled by the mean dissimilarity."""
     # each slice's mean over a contiguous array, as numpy may sum a strided
-    # one in other blocks
+    # one in another order
     scale = float(np.mean([np.ascontiguousarray(s).mean() for s in tensor._pairs.T]))
     if scale == 0.0:
         scale = 1.0

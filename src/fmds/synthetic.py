@@ -44,8 +44,8 @@ class SyntheticScenario:
             raise ConfigError("smooth_rotation places objects on circles in the plane; p_true must be 2")
         if self.m < 2:
             raise ConfigError(f"need at least 2 time points, got {self.m}")
-        if self.noise_sd < 0:
-            raise ConfigError(f"noise level must be nonnegative, got {self.noise_sd}")
+        if not 0 <= self.noise_sd < np.inf:
+            raise ConfigError(f"noise level must be nonnegative and finite, got {self.noise_sd}")
 
 
 def _trajectories(scenario: SyntheticScenario, grid: np.ndarray,

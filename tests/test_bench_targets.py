@@ -31,7 +31,7 @@ ENTERED = {
                    "svgplot.render", "bspline.basis_matrix", "fitting.fit",
                    "fitting.init_from_cmds", "fitting.stress", "fitting.evaluate_trajectories"},
 }
-# Known gap: the CLI's blocked CMDS (``cmds._mds_blocks``) never calls
+# Known gap: the CLI's blocked CMDS (``cmds._mds_slices``) never calls
 # ``classical_mds``, so ``cmds.classical_mds_s`` reads 0 on every workload
 # until the span follows the blocked path.
 KNOWN_GAPS = {"cmds.classical_mds"}

@@ -220,6 +220,20 @@ class TestFmdsCommand:
         assert _run("fmds", "--input", rotation_tensor, "--max-epochs", "0",
                     "--out", tmp_path / "f") == 2
 
+    @pytest.mark.parametrize("args", [
+        ("fmds", "--alpha", "nan"),
+        ("fmds", "--eps", "nan"),
+        ("fmds", "--eps", "inf"),
+        ("synth", "--noise", "nan"),
+        ("synth", "--noise", "inf"),
+    ])
+    def test_non_finite_setting_exit(self, rotation_tensor, tmp_path, capsys, args):
+        inputs = ("--input", rotation_tensor) if args[0] == "fmds" else ()
+        capsys.readouterr()
+        assert _run(*args, *inputs, "--out", tmp_path / "o") == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and line.endswith(f"finite, got {args[-1]}")
+
     def test_missing_input_exit(self, tmp_path):
         assert _run("fmds", "--input", tmp_path / "absent.csv",
                     "--out", tmp_path / "f") == 3

@@ -213,12 +213,14 @@ def _per_slice_mds(values, p):
 
 class TestStackedPass:
     @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_blocks_match_per_slice_algorithm(self, p):
-        from fmds.cmds import _block_slices, _mds_blocks, _solution
+    def test_blocks_match_per_slice_algorithm(self, p, monkeypatch):
+        from fmds import cmds
+        from fmds.cmds import _mds_slices, _solution
+        from fmds.dissimilarity import _block_items
 
         rng = np.random.default_rng(30 + p)
         n = 40
-        step = _block_slices(n)
+        step = _block_items(8 * n * n)
         noise = np.triu(rng.uniform(0.0, 2.0, (n, n)), 1)
         # exact ties (zero matrix, regular simplex) and negative mass land in
         # different blocks; the last block is short
@@ -226,9 +228,15 @@ class TestStackedPass:
         stack = np.stack([special.get(k, _random_cloud_matrix(rng, n, 3).values)
                           for k in range(3 * step + 1)])
         h, j = np.triu_indices(n, 1)
-        blocks = list(_mds_blocks(stack.transpose(1, 2, 0)[h, j], p))
+        blocks, solve = [], cmds._stacked_mds
+
+        def recorded(values, p):
+            blocks.append(solve(values, p))
+            return blocks[-1]
+
+        monkeypatch.setattr(cmds, "_stacked_mds", recorded)
+        stacked = [_solution(c, e) for c, e in _mds_slices(stack.transpose(1, 2, 0)[h, j], p)]
         assert step > 1 and [len(c) for c, _ in blocks] == [step, step, step, 1]
-        stacked = [_solution(c, e) for cs, es in blocks for c, e in zip(cs, es)]
         for values, solution in zip(stack, stacked):
             configuration, evals, negative = _per_slice_mds(values, p)
             single = classical_mds(DissimilarityMatrix(values), p)
@@ -241,6 +249,34 @@ class TestStackedPass:
                 for layout in ("F_CONTIGUOUS", "C_CONTIGUOUS"):
                     assert got.configuration.flags[layout] == configuration.flags[layout]
         assert stacked[3 * step].negative_mass > 0
+
+    def test_outputs_independent_of_block_size(self, tmp_path, monkeypatch):
+        from fmds import (FitConfig, SyntheticScenario, dissimilarity, generate, init_from_cmds,
+                          rolling_dissimilarity_tensor)
+        from fmds.cli import main
+        from fmds.io import write_tensor
+
+        panel, _, _ = generate(SyntheticScenario("random_walk_smoothed", n=40, p_true=1, m=60,
+                                                 noise_sd=0.05, seed=4))
+        source = tmp_path / "tensor.csv"
+        write_tensor(rolling_dissimilarity_tensor(panel, "correlation", 10), source)
+        out = tmp_path / "cmds"
+        runs = []
+        # 1 item per block, the rule's 10 per block at n = 40, and all 51 in one
+        for budget in (0, dissimilarity._BLOCK_BYTES, 1 << 40):
+            monkeypatch.setattr(dissimilarity, "_BLOCK_BYTES", budget)
+            tensor = rolling_dissimilarity_tensor(panel, "correlation", 10)
+            coefficients = init_from_cmds(tensor, FitConfig(p=2)).coefficients
+            assert main(["cmds", "--input", str(source), "--dim", "2", "--out", str(out),
+                         "--deterministic"]) == 0
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+            runs.append((tensor._pairs, coefficients, files))
+        (pairs, coefficients, files), *others = runs
+        assert tensor.num_times == 51 and len(files) == 2 * 51 + 2
+        for other_pairs, other_coefficients, other_files in others:
+            assert np.array_equal(other_pairs, pairs)
+            assert np.array_equal(other_coefficients, coefficients)
+            assert other_files == files
 
     def test_warm_start_matches_per_slice_loop(self):
         from fmds import FitConfig, SyntheticScenario, generate, init_from_cmds

@@ -478,13 +478,24 @@ class TestCorrelationExact:
         assert np.array_equal(single, expected[-1])
         assert np.array_equal(single, single.T) and np.all(np.diag(single) == 0.0)
 
+    def test_block_items_stay_under_the_mmap_threshold(self):
+        from fmds.dissimilarity import _BLOCK_BYTES, _block_items
+
+        # a slice, or a window of 10, at n = 40; a slice at n = 100
+        assert [_block_items(8 * 40 * 40), _block_items(8 * 100 * 100)] == [10, 1]
+        for item_bytes in range(8, 2 * _BLOCK_BYTES, 8):
+            items = _block_items(item_bytes)
+            # as many as fit with malloc's 16-byte header, or one that does not
+            assert items == 1 or items * item_bytes + 16 < _BLOCK_BYTES
+            assert (items + 1) * item_bytes + 16 >= _BLOCK_BYTES
+
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_blocks_match_single_windows(self, stride):
-        from fmds.dissimilarity import _block_windows
+        from fmds.dissimilarity import _block_items
 
         rng = np.random.default_rng(40 + stride)
         n, window = 40, 10
-        step = _block_windows(n, window)
+        step = _block_items(8 * n * max(n, window))
         m = window + stride * (2 * step + 4)
         values = np.cumsum(rng.normal(size=(n, m)), axis=1)
         panel = _panel(values)

@@ -848,6 +848,10 @@ class TestFitConfigValidation:
             {"eps": 0.0},
             {"max_epochs": 0},
             {"alpha": -1.0},
+            {"alpha": float("nan")},
+            {"alpha": float("inf")},
+            {"eps": float("nan")},
+            {"eps": float("inf")},
             {"gamma1": 1.0},
             {"gamma2": -0.1},
             {"init_mode": "zeros"},

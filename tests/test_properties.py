@@ -24,7 +24,7 @@ from fmds import (  # noqa: E402
     rolling_dissimilarity_tensor,
     stress,
 )
-from fmds.cmds import _mds_blocks  # noqa: E402
+from fmds.cmds import _mds_slices  # noqa: E402
 from fmds.io import ingest_tensor  # noqa: E402
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -126,11 +126,11 @@ def _correlation_slice(values):
 
 
 def _same_blocks(condensed, full, n):
-    """``_mds_blocks`` on the condensed pairs gives each slice the bits of
+    """``_mds_slices`` on the condensed pairs gives each slice the bits of
     ``classical_mds`` on the full (n, n) slice, for every embedding
     dimension up to 2."""
     for p in range(1, min(n - 1, 2) + 1):
-        got = [slice_ for block in _mds_blocks(condensed, p) for slice_ in zip(*block)]
+        got = list(_mds_slices(condensed, p))
         assert len(got) == len(full)
         for (configuration, eigenvalues), values in zip(got, full):
             expected = classical_mds(DissimilarityMatrix(values), p)

@@ -197,6 +197,8 @@ class TestGenerate:
             {"kind": "smooth_rotation", "p_true": 3},
             {"kind": "static_cloud", "m": 1},
             {"kind": "static_cloud", "noise_sd": -0.5},
+            {"kind": "static_cloud", "noise_sd": float("nan")},
+            {"kind": "static_cloud", "noise_sd": float("inf")},
         ],
     )
     def test_invalid_scenarios_rejected(self, kwargs):
