@@ -22,6 +22,7 @@ from . import io, svgplot
 from .bspline import eval_basis, make_knots
 from .cmds import _mds_slices, _solution, classical_mds, reconstructed_dissimilarity
 from .dissimilarity import (
+    _METRICS,
     DissimilarityTensor,
     euclidean_dissimilarity,
     rolling_dissimilarity_tensor,
@@ -35,9 +36,9 @@ from .fitting import (
     pair_stress,
     stress,
 )
-from .manifest import RunManifest
+from .manifest import _FORMATS, RunManifest
 from .reference import central_difference_gradient, naive_bspline
-from .synthetic import SyntheticScenario, generate
+from .synthetic import _KINDS, SyntheticScenario, generate
 
 DENSE_GRID_POINTS = 200
 
@@ -56,11 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
     ingest = argparse.ArgumentParser(add_help=False, **no_defaults)
     ingest.add_argument("--input", required=True, help="input CSV file")
     ingest.add_argument(
-        "--format", choices=("tensor_csv", "wide_csv"),
+        "--format", choices=_FORMATS,
         help="input layout: long t,i,j,d rows or a wide observation panel",
     )
     ingest.add_argument(
-        "--metric", choices=("euclidean", "correlation"),
+        "--metric", choices=_METRICS,
         help="dissimilarity metric for wide_csv inputs",
     )
     ingest.add_argument("--window", type=int,
@@ -99,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", parents=[out], **no_defaults,
                              help="write a synthetic data set")
-    p_synth.add_argument("--scenario",
-                         choices=("static_cloud", "smooth_rotation", "random_walk_smoothed"))
+    p_synth.add_argument("--scenario", choices=_KINDS)
     p_synth.add_argument("--n", type=int, help="object count")
     p_synth.add_argument("--dim", type=int, help="trajectory dimension")
     p_synth.add_argument("--m", type=int, help="time point count")

@@ -18,6 +18,8 @@ from .errors import ConfigError, DegenerateSeries, ShapeError, WindowTooLong
 
 # the smallest normal float64
 _TINY = np.finfo(float).tiny
+# the metrics of rolling_dissimilarity_tensor
+_METRICS = ("euclidean", "correlation")
 
 
 def _all_finite(values: np.ndarray) -> bool:
@@ -374,7 +376,7 @@ def rolling_dissimilarity_tensor(
     correlation dissimilarity of the window, built a block of windows at
     a time. The tensor stores the condensed pairs.
     """
-    if metric not in ("euclidean", "correlation"):
+    if metric not in _METRICS:
         raise ConfigError(f"unknown metric {metric!r}")
     if stride < 1:
         raise ConfigError(f"stride must be at least 1, got {stride}")

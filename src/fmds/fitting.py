@@ -453,6 +453,8 @@ class _PairwiseAdam:
                  gamma1: float, gamma2: float):
         self.gammas = (gamma1, gamma2)
         self.basis = basis
+        # _pair_grad's -4 folded in once: times -4 is exact short of overflow and underflow
+        self.basis4 = -4.0 * basis
         self.moments = np.zeros((n, 2, p, q))
         self.step_counts = np.zeros(n, dtype=np.int64)
         rates = np.array((gamma1, gamma2)).reshape(2, 1, 1)
@@ -472,12 +474,11 @@ class _PairwiseAdam:
         squared into one reused buffer when the row starts."""
         n, _, p, q = self.moments.shape
         m = self.basis.shape[0]
-        basis = self.basis
+        basis4 = self.basis4
         # the transposed view, as in _pair_grad: a contiguous copy takes another
         # BLAS path and changes the bits at p = 1
-        basis_t = basis.T
+        basis_t = self.basis.T
         decay, gain, neg_alpha, shift = self.decay, self.gain, self.neg_alpha, self.shift
-        minus4 = np.array(-4.0)
         # at (p, q) sizes numpy's per-call overhead is the cost: ufuncs are
         # bound to locals and given their outputs positionally, and np.dot
         # makes matmul's BLAS call with less dispatch
@@ -518,8 +519,7 @@ class _PairwiseAdam:
                     total = add(total, row, sq_sum)
                 subtract(target, total, resid)
                 multiply(u, resid, weighted)
-                multiply(weighted, minus4, weighted)
-                dot(weighted, basis, g)
+                dot(weighted, basis4, g)
                 multiply(g, g, g_sq)
                 # _adam_update's steps for h, on the views made above
                 multiply(grads, gain, scratch)

@@ -326,15 +326,11 @@ def _stream_tensor(handle, lines: int) -> DissimilarityTensor | None:
     pair once, in ``np.triu_indices`` order of the sorted ids, and every
     later block repeats that sequence. Blank lines are skipped. A self row,
     a duplicate or a row out of that order returns None; a line loadtxt
-    refuses raises.
+    refuses or warns on raises.
     """
 
     def take(count):
-        try:
-            rows = _load_rows(handle, count)
-        # any warning but a blank line's
-        except UserWarning:
-            return None
+        rows = _load_rows(handle, count)
         return rows if rows.size == count else None
 
     rows = take(min(_STREAM_ROWS, lines)) if lines else None

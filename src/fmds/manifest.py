@@ -15,6 +15,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
+from .dissimilarity import _METRICS
 from .errors import ConfigError
 from .fitting import FitConfig
 
@@ -22,7 +23,6 @@ FORMAT_VERSION = "1"
 
 _COMMANDS = ("cmds", "fmds", "dissim", "synth")
 _FORMATS = ("tensor_csv", "wide_csv")
-_METRICS = ("euclidean", "correlation")
 
 
 @dataclass(frozen=True)

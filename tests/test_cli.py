@@ -13,7 +13,8 @@ from fmds import cli, dissimilarity, fitting
 from fmds.cli import _FIELD_OF_FLAG, _manifest_from_args, build_parser, main, verify_command
 from fmds.fitting import pair_gradients
 from fmds.io import ingest_tensor
-from fmds.manifest import RunManifest
+from fmds.manifest import _FORMATS, RunManifest
+from fmds.synthetic import _KINDS
 
 
 def _run(*args):
@@ -54,6 +55,18 @@ class TestArguments:
                 if action.dest != "help":
                     assert _FIELD_OF_FLAG.get(action.dest, action.dest) in fields, \
                         (name, action.dest)
+
+    def test_choices_are_the_library_tuples(self):
+        # one tuple per choice: a metric, format or scenario kind cannot be
+        # added to the parser or to the library alone
+        (commands,) = [a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        choices = {(name, action.dest): action.choices
+                   for name, parser in commands.choices.items() for action in parser._actions}
+        for name in ("dissim", "cmds", "fmds"):
+            assert choices[name, "metric"] is dissimilarity._METRICS
+            assert choices[name, "format"] is _FORMATS
+        assert choices["synth", "scenario"] is _KINDS
 
     @pytest.mark.parametrize("command", ["synth", "dissim", "cmds", "fmds", "verify"])
     def test_help_exits_cleanly(self, command, capsys):

@@ -709,6 +709,9 @@ class TestPairwiseAdamKernel:
     def test_bitwise_equal_on_a_long_row(self, p):
         self._check_against_pair_loop(5, p, "random", m=200, interior_knots=20)
 
+    def test_bitwise_equal_at_the_fit_adam_benchmark_shape(self):
+        self._check_against_pair_loop(40, 2, "cmds_warm", m=40, interior_knots=4)
+
     def _check_against_pair_loop(self, n, p, init_mode, m, interior_knots):
         scen = SyntheticScenario("random_walk_smoothed", n=n, p_true=3, m=m, seed=n + p)
         _, tensor, _ = generate(scen)

@@ -566,6 +566,31 @@ class TestIngestTensor:
             parts = [fmds_io._load_rows(handle, 3) for _ in range(3)]
         assert [part["t"].tolist() for part in parts] == [[0, 1, 2], [3, 4, 5], [6]]
 
+    @pytest.mark.parametrize("warning_call", [0, 1])
+    def test_a_loadtxt_warning_takes_the_line_scan(self, tmp_path, monkeypatch, warning_call):
+        # one failure route: a warning from any stream chunk, like a refused
+        # line, leaves the file to the line scan, and no warning escapes
+        _, tensor, _ = generate(SyntheticScenario("smooth_rotation", n=10, m=50, seed=5))
+        path = tmp_path / "t.csv"
+        write_tensor(tensor, path, manifest_hash="abc")
+        calls, scans = [], []
+        loadtxt, scan = np.loadtxt, fmds_io._scan_tensor
+
+        def warning_loadtxt(*args, **kwargs):
+            calls.append(args)
+            if len(calls) - 1 == warning_call:
+                warnings.warn("loadtxt warning", UserWarning)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        monkeypatch.setattr(fmds_io, "_scan_tensor", lambda p: scans.append(p) or scan(p))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            back = ingest_tensor(path)
+        assert (len(calls), scans, caught) == (warning_call + 1, [path], [])
+        assert back.time_grid.tobytes() == tensor.time_grid.tobytes()
+        assert back.stacked().tobytes() == tensor.stacked().tobytes()
+
     @pytest.mark.parametrize("variant, loadtxt_calls", [
         (lambda lines: lines[:4] + ["# note\n"] + lines[4:], 1),
         (lambda lines: lines[:4] + [" \t\n"] + lines[4:], 1),
