@@ -42,6 +42,10 @@ from .synthetic import _KINDS, SyntheticScenario, generate
 
 DENSE_GRID_POINTS = 200
 
+# Each choice flag's values and their manifest spellings.
+_VALUE_OF_FLAG = {"init": {"cmds": "cmds_warm", "random": "random"},
+                  "baseline": {"adam": "adam", "gd": "full_batch_gd"}}
+
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser. Flags carry no defaults: an absent flag leaves its
@@ -88,9 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fmds.add_argument("--eps", type=float, help="convergence tolerance")
     p_fmds.add_argument("--max-epochs", type=int, help="epoch budget")
     p_fmds.add_argument("--seed", type=int, help="random seed")
-    p_fmds.add_argument("--init", choices=("cmds", "random"),
+    p_fmds.add_argument("--init", choices=_VALUE_OF_FLAG["init"],
                         help="initialization mode")
-    p_fmds.add_argument("--baseline", choices=("adam", "gd"),
+    p_fmds.add_argument("--baseline", choices=_VALUE_OF_FLAG["baseline"],
                         help="optimizer: pairwise adam or full-batch gradient descent")
 
     sub.add_parser("dissim", parents=[ingest, out], **no_defaults,
@@ -116,8 +120,6 @@ _FIELD_OF_FLAG = {
     "knots": "interior_knots", "n": "scenario_n", "m": "scenario_m",
     "noise": "noise_sd", "out": "out_dir",
 }
-# Flag values spelled differently in the manifest.
-_VALUE_OF_FLAG = {"init": {"cmds": "cmds_warm"}, "baseline": {"gd": "full_batch_gd"}}
 
 
 def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
@@ -439,15 +441,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except IngestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigError, WindowTooLong) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FmdsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
+        if isinstance(exc, IngestError):
+            return 3
+        return 2 if isinstance(exc, (ConfigError, WindowTooLong)) else 4
 
 
 if __name__ == "__main__":

@@ -123,6 +123,8 @@ class FitConfig:
             raise ConfigError(f"convergence tolerance must be positive and finite, got {self.eps}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be at least 1, got {self.max_epochs}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"random seed must be nonnegative, got {self.rng_seed}")
         if self.init_mode not in _INIT_MODES:
             raise ConfigError(f"unknown init mode {self.init_mode!r}")
         if self.baseline not in _METHODS:
@@ -133,11 +135,11 @@ def _adam_update(moments, grads, decay, gain, correction, neg_alpha, shift, scra
     """One Adam step on stacked moments, in place; the increment goes to ``out``.
 
     ``moments`` is (..., 2, p, q), the first and second moments of one or
-    more objects; ``grads`` matches it and holds (g, g*g) for each. The
-    moments become decay * moments + gain * grads and ``out`` (..., p, q)
-    receives -alpha * m_hat / (sqrt(v_hat) + shift), where the hats are the
-    moments divided by ``correction``. ``scratch`` is overwritten. Negating
-    the first row of ``gain`` applies the step for the gradient -g.
+    more objects; ``grads`` holds (g/s, g*g/(s*s)) and ``gain`` (1 - gamma) *
+    (s, s*s) with s = ±4, which scales exactly, so gain * grads rounds as
+    (1 - gamma) * (g, g*g) short of overflow and underflow. The moments become
+    decay * moments + gain * grads, and ``out`` (..., p, q) receives -alpha *
+    m_hat / (sqrt(v_hat) + shift), the hats being the moments / ``correction``.
     """
     np.multiply(grads, gain, scratch)
     np.multiply(moments, decay, moments)
@@ -453,14 +455,13 @@ class _PairwiseAdam:
                  gamma1: float, gamma2: float):
         self.gammas = (gamma1, gamma2)
         self.basis = basis
-        # _pair_grad's -4 folded in once: times -4 is exact short of overflow and underflow
-        self.basis4 = -4.0 * basis
         self.moments = np.zeros((n, 2, p, q))
         self.step_counts = np.zeros(n, dtype=np.int64)
         rates = np.array((gamma1, gamma2)).reshape(2, 1, 1)
         # full-shape constants: broadcasting costs more than the arithmetic at this size
         self.decay = np.broadcast_to(rates, (2, p, q)).copy()
-        self.gain = 1.0 - self.decay
+        # _pair_grad's -4 lives in the gains (see _adam_update); j's gradient is -g
+        self.gain = (1.0 - self.decay) * np.array((-4.0, 16.0)).reshape(2, 1, 1)
         self.gain_j = self.gain * np.array((-1.0, 1.0)).reshape(2, 1, 1)
         self.neg_alpha = np.array(-alpha)
         self.shift = np.array(_DENOM_SHIFT)
@@ -473,11 +474,11 @@ class _PairwiseAdam:
         in place; ``pairs`` holds the condensed pairs of d, whose row h is
         squared into one reused buffer when the row starts."""
         n, _, p, q = self.moments.shape
-        m = self.basis.shape[0]
-        basis4 = self.basis4
+        basis = self.basis
+        m = basis.shape[0]
         # the transposed view, as in _pair_grad: a contiguous copy takes another
         # BLAS path and changes the bits at p = 1
-        basis_t = self.basis.T
+        basis_t = basis.T
         decay, gain, neg_alpha, shift = self.decay, self.gain, self.neg_alpha, self.shift
         # at (p, q) sizes numpy's per-call overhead is the cost: ufuncs are
         # bound to locals and given their outputs positionally, and np.dot
@@ -519,7 +520,7 @@ class _PairwiseAdam:
                     total = add(total, row, sq_sum)
                 subtract(target, total, resid)
                 multiply(u, resid, weighted)
-                dot(weighted, basis4, g)
+                dot(weighted, basis, g)
                 multiply(g, g, g_sq)
                 # _adam_update's steps for h, on the views made above
                 multiply(grads, gain, scratch)

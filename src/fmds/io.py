@@ -301,7 +301,8 @@ def _array_tensor(path) -> DissimilarityTensor | None:
         with warnings.catch_warnings():
             # numpy < 2 parses an int cell such as 1.0 through float, with a warning
             warnings.simplefilter("error", DeprecationWarning)
-            # an empty body warns; the line scan reports it
+            # a loadtxt UserWarning, such as numpy's "input contained no data"
+            # on a 0-row read, sends the file to the line scan
             warnings.simplefilter("error", UserWarning)
             # a blank line warns that a max_rows read does not count it
             warnings.filterwarnings("ignore", r"Input line \d+ contained no data and will not "

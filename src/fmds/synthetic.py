@@ -46,6 +46,8 @@ class SyntheticScenario:
             raise ConfigError(f"need at least 2 time points, got {self.m}")
         if not 0 <= self.noise_sd < np.inf:
             raise ConfigError(f"noise level must be nonnegative and finite, got {self.noise_sd}")
+        if self.seed < 0:
+            raise ConfigError(f"random seed must be nonnegative, got {self.seed}")
 
 
 def _trajectories(scenario: SyntheticScenario, grid: np.ndarray,

@@ -67,6 +67,11 @@ class TestArguments:
             assert choices[name, "metric"] is dissimilarity._METRICS
             assert choices[name, "format"] is _FORMATS
         assert choices["synth", "scenario"] is _KINDS
+        # --init and --baseline choose among one map each, onto the library's names
+        for flag, library in (("init", fitting._INIT_MODES),
+                              ("baseline", tuple(fitting._METHODS))):
+            assert choices["fmds", flag] is cli._VALUE_OF_FLAG[flag]
+            assert tuple(cli._VALUE_OF_FLAG[flag].values()) == library
 
     @pytest.mark.parametrize("command", ["synth", "dissim", "cmds", "fmds", "verify"])
     def test_help_exits_cleanly(self, command, capsys):
@@ -246,6 +251,14 @@ class TestFmdsCommand:
         assert _run(*args, *inputs, "--out", tmp_path / "o") == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and line.endswith(f"finite, got {args[-1]}")
+
+    @pytest.mark.parametrize("command", ["fmds", "synth"])
+    def test_negative_seed_exit(self, rotation_tensor, tmp_path, capsys, command):
+        inputs = ("--input", rotation_tensor) if command == "fmds" else ()
+        capsys.readouterr()
+        assert _run(command, "--seed", "-1", *inputs, "--out", tmp_path / "o") == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: random seed must be nonnegative, got -1"
 
     def test_missing_input_exit(self, tmp_path):
         assert _run("fmds", "--input", tmp_path / "absent.csv",

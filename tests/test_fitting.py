@@ -712,6 +712,10 @@ class TestPairwiseAdamKernel:
     def test_bitwise_equal_at_the_fit_adam_benchmark_shape(self):
         self._check_against_pair_loop(40, 2, "cmds_warm", m=40, interior_knots=4)
 
+    def test_bitwise_equal_at_the_panel_corr_benchmark_shape(self):
+        # q = 83: the rolling correlation's 791 slices, m // 10 interior knots
+        self._check_against_pair_loop(40, 2, "cmds_warm", m=791, interior_knots=79)
+
     def _check_against_pair_loop(self, n, p, init_mode, m, interior_knots):
         scen = SyntheticScenario("random_walk_smoothed", n=n, p_true=3, m=m, seed=n + p)
         _, tensor, _ = generate(scen)
@@ -727,6 +731,9 @@ class TestPairwiseAdamKernel:
         state = self._reference_epochs(expected, tensor._pairs, basis, orders, config)
         got = start.coefficients.copy()
         kernel = _PairwiseAdam(n, p, start.q, basis, config.alpha, config.gamma1, config.gamma2)
+        # the -4 lives in the gains, so the basis is the kernel's one (m, q) array
+        assert [name for name, value in vars(kernel).items()
+                if np.shape(value) == basis.shape] == ["basis"]
         for rows in orders:
             kernel.epoch(got, tensor._pairs, rows)
 
@@ -855,6 +862,7 @@ class TestFitConfigValidation:
             {"alpha": float("inf")},
             {"eps": float("nan")},
             {"eps": float("inf")},
+            {"rng_seed": -1},
             {"gamma1": 1.0},
             {"gamma2": -0.1},
             {"init_mode": "zeros"},

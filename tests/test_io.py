@@ -944,6 +944,8 @@ class TestRunManifest:
             {"command": "fmds", "gamma1": 1.0},
             {"command": "fmds", "interior_knots": -1},
             {"command": "fmds", "baseline": "sgd"},
+            {"command": "fmds", "seed": -1},
+            {"command": "synth", "seed": -1},
             {"command": "dissim", "window_len": 0},
             {"command": "dissim", "input_format": "xml"},
         ],

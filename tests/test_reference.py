@@ -199,6 +199,7 @@ class TestGenerate:
             {"kind": "static_cloud", "noise_sd": -0.5},
             {"kind": "static_cloud", "noise_sd": float("nan")},
             {"kind": "static_cloud", "noise_sd": float("inf")},
+            {"kind": "static_cloud", "seed": -1},
         ],
     )
     def test_invalid_scenarios_rejected(self, kwargs):
