@@ -181,8 +181,8 @@ def run_cmds_command(manifest: RunManifest) -> int:
     digest = manifest.sha256()
     comments = _svg_comments(manifest)
 
-    solutions = [_solution(configuration, eigenvalues)
-                 for configuration, eigenvalues in _mds_slices(tensor._pairs, manifest.dim)]
+    solutions = [_solution(configuration, eigenvalues) for configuration, eigenvalues
+                 in _mds_slices(tensor._pairs, tensor.n, manifest.dim)]
 
     slice_summaries = []
     for k, solution in enumerate(solutions):
@@ -307,6 +307,11 @@ def run_synth_command(manifest: RunManifest) -> int:
     return 0
 
 
+# Each manifest command's run: the keys are manifest._COMMANDS, every subcommand but verify
+_RUNS = {"dissim": run_dissim_command, "cmds": run_cmds_command,
+         "fmds": run_fmds_command, "synth": run_synth_command}
+
+
 # ---------------------------------------------------------------------------
 # verify: brute-force cross-checks runnable by end users
 
@@ -429,9 +434,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         _print_verify(report)
         return 0 if report.passed else 4
     manifest = _manifest_from_args(args)
-    run = {"dissim": run_dissim_command, "cmds": run_cmds_command,
-           "fmds": run_fmds_command, "synth": run_synth_command}[manifest.command]
-    status = run(manifest)
+    status = _RUNS[manifest.command](manifest)
     io.write_json({"manifest_sha256": manifest.sha256(), **manifest.to_dict()},
                   Path(manifest.out_dir) / "manifest.json")
     return status

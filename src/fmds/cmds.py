@@ -14,7 +14,6 @@ block as on its own; ``classical_mds`` is the one-slice block.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -102,11 +101,10 @@ def _stacked_mds(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return columns.transpose(0, 2, 1), ranked
 
 
-def _mds_slices(pairs: np.ndarray, p: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _mds_slices(pairs: np.ndarray, n: int, p: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The configuration and eigenvalues of ``_stacked_mds`` for each slice of
-    a tensor's condensed (n(n-1)/2, m) pairs, one slice at a time. The slices
-    are solved a block at a time, each block rebuilt from the pairs."""
-    n = (1 + math.isqrt(1 + 8 * len(pairs))) // 2
+    the condensed (n(n-1)/2, m) pairs of n objects, one slice at a time. The
+    slices are solved a block at a time, each block rebuilt from the pairs."""
     # every block array takes at most n * n floats per slice
     for block in _slice_blocks(pairs, n, _block_items(8 * n * n)):
         yield from zip(*_stacked_mds(block, p))

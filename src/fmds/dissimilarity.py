@@ -143,6 +143,13 @@ def _block_items(item_bytes: int) -> int:
     return max(1, (_BLOCK_BYTES - 17) // item_bytes)
 
 
+def _pair_starts(n: int) -> list[int]:
+    """The condensed row of each object's first pair, for n objects: object
+    h's pairs (h, j), j > h, are rows ``starts[h] + j - h - 1``, and the last
+    object's start, n(n-1)/2, is one past the last row."""
+    return [h * (2 * n - h - 1) // 2 for h in range(n)]
+
+
 def _slice_blocks(pairs: np.ndarray, n: int, step: int | None = None):
     """The exactly symmetric, zero-diagonal (n, n) matrices of the columns of
     condensed pairs, ``step`` columns at a time (all at once by default),

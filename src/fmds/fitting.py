@@ -18,7 +18,6 @@ spline coefficients, provides the warm start.
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .bspline import KnotVector, basis_matrix, make_knots, _solve_least_squares
 from .cmds import _mds_slices
-from .dissimilarity import DissimilarityTensor, _squared_norms, euclidean_dissimilarity
+from .dissimilarity import DissimilarityTensor, _pair_starts, _squared_norms, euclidean_dissimilarity
 from .errors import (
     ConfigError,
     DivergedError,
@@ -44,6 +43,9 @@ CUBIC_ORDER = 4
 
 # Adam's shift of the denominator sqrt(v_hat) away from zero
 _DENOM_SHIFT = 1e-8
+
+# bound once: at a pair update's (p, q) sizes numpy's per-call overhead is the cost
+_add, _subtract, _multiply, _divide, _sqrt = np.add, np.subtract, np.multiply, np.divide, np.sqrt
 
 # numpy sums a contiguous float64 array pairwise: it splits a range at half
 # its length, rounded down to a multiple of 8, down to ranges of 128. A range
@@ -131,25 +133,27 @@ class FitConfig:
             raise ConfigError(f"unknown baseline {self.baseline!r}")
 
 
-def _adam_update(moments, grads, decay, gain, correction, neg_alpha, shift, scratch, out) -> None:
-    """One Adam step on stacked moments, in place; the increment goes to ``out``.
+def _adam_update(moments, grads, decay, gain, correction, neg_alpha, shift,
+                 scratch, m_hat, v_hat, out) -> None:
+    """The one Adam step of ``_PairwiseAdam.epoch``, for h with ``gain`` and for
+    a row's batch of j with ``gain_j``, in place; the increment goes to ``out``.
 
-    ``moments`` is (..., 2, p, q), the first and second moments of one or
-    more objects; ``grads`` holds (g/s, g*g/(s*s)) and ``gain`` (1 - gamma) *
-    (s, s*s) with s = ±4, which scales exactly, so gain * grads rounds as
-    (1 - gamma) * (g, g*g) short of overflow and underflow. The moments become
-    decay * moments + gain * grads, and ``out`` (..., p, q) receives -alpha *
-    m_hat / (sqrt(v_hat) + shift), the hats being the moments / ``correction``.
+    ``moments`` is (..., 2, p, q), the first and second moments; ``grads``
+    holds (g/s, g*g/(s*s)) and ``gain`` (1 - gamma) * (s, s*s) with s = ±4,
+    which scales exactly, so gain * grads rounds as (1 - gamma) * (g, g*g)
+    short of overflow and underflow. The moments become decay * moments +
+    gain * grads, and ``out`` (..., p, q) receives -alpha * m_hat /
+    (sqrt(v_hat) + shift), the hats being the moments / ``correction``, formed
+    in ``scratch`` as its halves ``m_hat`` and ``v_hat``.
     """
-    np.multiply(grads, gain, scratch)
-    np.multiply(moments, decay, moments)
-    np.add(moments, scratch, moments)
-    np.divide(moments, correction, scratch)
-    m_hat, v_hat = scratch[..., 0, :, :], scratch[..., 1, :, :]
-    np.sqrt(v_hat, v_hat)
-    np.add(v_hat, shift, v_hat)
-    np.multiply(m_hat, neg_alpha, out)
-    np.divide(out, v_hat, out)
+    _multiply(grads, gain, scratch)
+    _multiply(moments, decay, moments)
+    _add(moments, scratch, moments)
+    _divide(moments, correction, scratch)
+    _sqrt(v_hat, v_hat)
+    _add(v_hat, shift, v_hat)
+    _multiply(m_hat, neg_alpha, out)
+    _divide(out, v_hat, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +242,7 @@ def _sum_rows(shape: tuple[int, int], fill) -> float:
 
 def _stress_value(coeffs: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> float:
     """Squared stress of raw coefficient arrays against the condensed pairs
-    of d: row h * (2n - h - 1) / 2 + j - h - 1 holds pair (h, j).
+    of d, laid out as ``_pair_starts`` says.
 
     The residuals of a leaf's pair rows are formed in place, a few objects
     h at a time, and summed by ``_sum_rows``, so no (pairs, times, p)
@@ -252,17 +256,16 @@ def _stress_value(coeffs: np.ndarray, pairs: np.ndarray, basis: np.ndarray) -> f
     rows = min(n - 1, _LEAF // m + 2)
     scratch = np.empty((rows, m, p))
     sums = np.empty((rows, m))
-    # one past the last pair row of each object h
-    ends = list(itertools.accumulate(range(n - 1, 0, -1)))
+    starts = _pair_starts(n)
 
     def fill(first, stop, out):
         np.square(pairs[first:stop], out=out)
-        h = bisect.bisect_right(ends, first)
+        h = bisect.bisect_right(starts, first) - 1
         row = first
         while row < stop:
-            end = min(stop, ends[h])
+            end = min(stop, starts[h + 1])
             # row holds the pair (h, j)
-            j = row + n - ends[h]
+            j = row - starts[h] + h + 1
             diff, sq = scratch[:end - row], sums[:end - row]
             np.subtract(pos[h], pos[j:j + end - row], out=diff)
             np.multiply(diff, diff, out=diff)
@@ -302,11 +305,10 @@ def _full_gradients(coeffs: np.ndarray, pairs: np.ndarray, basis: np.ndarray) ->
     """
     pos = np.einsum("ipq,kq->ikp", coeffs, basis)
     force = np.zeros(pos.shape)
-    start = 0
+    starts = _pair_starts(pos.shape[0])
     for h in range(pos.shape[0] - 1):
         diff = pos[h] - pos[h + 1:]
-        rows = np.square(pairs[start:start + diff.shape[0]])
-        start += diff.shape[0]
+        rows = np.square(pairs[starts[h]:starts[h + 1]])
         diff *= (rows - _squared_norms(diff * diff))[..., None]
         force[h] += diff.sum(axis=0)
         force[h + 1:] -= diff
@@ -321,7 +323,7 @@ def _pair_targets(tensor: DissimilarityTensor, h: int, j: int,
     if not (0 <= h < tensor.n and 0 <= j < tensor.n):
         raise ShapeError(f"pair ({h}, {j}) outside object range [0, {tensor.n})")
     a, b = min(h, j), max(h, j)
-    row = a * (2 * tensor.n - a - 1) // 2 + b - a - 1
+    row = _pair_starts(tensor.n)[a] + b - a - 1
     return basis_matrix(knots, tensor.time_grid).values, tensor._pairs[row]
 
 
@@ -406,7 +408,7 @@ def init_from_cmds(tensor: DissimilarityTensor, config: FitConfig) -> Coefficien
     m, n, p = tensor.num_times, tensor.n, config.p
 
     aligned = np.empty((m, n, p))
-    for k, (embedded, _) in enumerate(_mds_slices(tensor._pairs, p)):
+    for k, (embedded, _) in enumerate(_mds_slices(tensor._pairs, n, p)):
         aligned[k] = embedded @ _procrustes_rotation(embedded, aligned[k - 1]) if k else embedded
 
     basis = basis_matrix(knots, tensor.time_grid)
@@ -446,9 +448,10 @@ class _PairwiseAdam:
     order. The j-side steps (gradient -g) of a row are kept and applied as
     one batch at the end of the row. This is exact: each j is visited once
     in the row and neither its coefficients nor its moments are read again
-    before the row ends, so only the steps for h depend on their order. Each
-    element still goes through the same arithmetic as in the reference, in
-    fewer numpy calls.
+    before the row ends, so only the steps for h depend on their order. Both
+    objects step through ``_adam_update``: h at every pair with ``gain``, and
+    the row's batch of j's with ``gain_j``. Each element still goes through
+    the same arithmetic as in the reference, in fewer numpy calls.
     """
 
     def __init__(self, n: int, p: int, q: int, basis: np.ndarray, alpha: float,
@@ -474,26 +477,22 @@ class _PairwiseAdam:
         in place; ``pairs`` holds the condensed pairs of d, whose row h is
         squared into one reused buffer when the row starts."""
         n, _, p, q = self.moments.shape
-        basis = self.basis
-        m = basis.shape[0]
-        # the transposed view, as in _pair_grad: a contiguous copy takes another
-        # BLAS path and changes the bits at p = 1
-        basis_t = basis.T
+        basis, m = self.basis, len(self.basis)
         decay, gain, neg_alpha, shift = self.decay, self.gain, self.neg_alpha, self.shift
-        # at (p, q) sizes numpy's per-call overhead is the cost: ufuncs are
-        # bound to locals and given their outputs positionally, and np.dot
-        # makes matmul's BLAS call with less dispatch
-        add, subtract, multiply, divide, sqrt, dot = (
-            np.add, np.subtract, np.multiply, np.divide, np.sqrt, np.dot)
         diff, scratch, increment = np.empty((p, q)), np.empty((2, p, q)), np.empty((p, q))
         m_hat, v_hat = scratch
         u, squares, sq_sum = np.empty((p, m)), np.empty((p, m)), np.empty(m)
-        resid, weighted = np.empty(m), np.empty((p, m))
+        # one residual row per coordinate, so that u * resid does not broadcast
+        resid, weighted = np.empty((p, m)), np.empty((p, m))
+        # bound dot methods make matmul's BLAS call with the least dispatch; the
+        # basis's transposed view is _pair_grad's: a contiguous copy takes
+        # another BLAS path and changes the bits at p = 1
+        project, back_project, basis_t = diff.dot, weighted.dot, basis.T
         row_targets = np.empty((n - 1, m))
         first_square, *other_squares = squares
         coeff_rows = list(coeffs)
-        grad_pairs = list(self.grads)
-        grad_rows = [tuple(pair) for pair in grad_pairs]
+        grad_rows = [(grads, *grads) for grads in self.grads]
+        starts = _pair_starts(n)
         # every object gets n - 1 steps per epoch, so all counts are equal at
         # its start and run from base + 1 to base + n - 1 within it
         base = int(self.step_counts[0])
@@ -507,39 +506,31 @@ class _PairwiseAdam:
             h = int(h)
             width = n - 1 - h
             c_h, moments_h = coeff_rows[h], self.moments[h]
-            first = h * (2 * n - h - 1) // 2
-            targets = np.square(pairs[first:first + width], out=row_targets[:width])
+            targets = np.square(pairs[starts[h]:starts[h + 1]], out=row_targets[:width])
             t = int(self.step_counts[h]) - base
-            for c_j, target, (g, g_sq), grads, correction in zip(
-                    coeff_rows[h + 1:], targets, grad_rows, grad_pairs, corrections[t:]):
-                subtract(c_h, c_j, diff)
-                dot(diff, basis_t, u)
-                multiply(u, u, squares)
+            for c_j, target, (grads, g, g_sq), correction in zip(
+                    coeff_rows[h + 1:], targets, grad_rows, corrections[t:]):
+                _subtract(c_h, c_j, diff)
+                project(basis_t, u)
+                _multiply(u, u, squares)
                 total = first_square
                 for row in other_squares:
-                    total = add(total, row, sq_sum)
-                subtract(target, total, resid)
-                multiply(u, resid, weighted)
-                dot(weighted, basis, g)
-                multiply(g, g, g_sq)
-                # _adam_update's steps for h, on the views made above
-                multiply(grads, gain, scratch)
-                multiply(moments_h, decay, moments_h)
-                add(moments_h, scratch, moments_h)
-                divide(moments_h, correction, scratch)
-                sqrt(v_hat, v_hat)
-                add(v_hat, shift, v_hat)
-                multiply(m_hat, neg_alpha, increment)
-                divide(increment, v_hat, increment)
-                add(c_h, increment, c_h)
+                    total = _add(total, row, sq_sum)
+                _subtract(target, total, resid)
+                _multiply(u, resid, weighted)
+                back_project(basis, g)
+                _multiply(g, g, g_sq)
+                _adam_update(moments_h, grads, decay, gain, correction, neg_alpha, shift,
+                             scratch, m_hat, v_hat, increment)
+                _add(c_h, increment, c_h)
             self.step_counts[h] += width
 
             later = slice(h + 1, n)
             self.step_counts[later] += 1
-            out = self.increments[:width]
+            out, batch = self.increments[:width], self.scratch[:width]
             _adam_update(self.moments[later], self.grads[:width], decay, self.gain_j,
                          table[self.step_counts[later] - base - 1], neg_alpha, shift,
-                         self.scratch[:width], out)
+                         batch, batch[:, 0], batch[:, 1], out)
             coeffs[later] += out
 
 

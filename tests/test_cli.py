@@ -13,7 +13,7 @@ from fmds import cli, dissimilarity, fitting
 from fmds.cli import _FIELD_OF_FLAG, _manifest_from_args, build_parser, main, verify_command
 from fmds.fitting import pair_gradients
 from fmds.io import ingest_tensor
-from fmds.manifest import _FORMATS, RunManifest
+from fmds.manifest import _COMMANDS, _FORMATS, RunManifest
 from fmds.synthetic import _KINDS
 
 
@@ -72,6 +72,13 @@ class TestArguments:
                               ("baseline", tuple(fitting._METHODS))):
             assert choices["fmds", flag] is cli._VALUE_OF_FLAG[flag]
             assert tuple(cli._VALUE_OF_FLAG[flag].values()) == library
+
+    def test_commands_are_one_set(self):
+        # a command cannot be added to the parser, the run table or the
+        # manifest's check alone
+        (commands,) = [a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        assert set(cli._RUNS) == set(_COMMANDS) == set(commands.choices) - {"verify"}
 
     @pytest.mark.parametrize("command", ["synth", "dissim", "cmds", "fmds", "verify"])
     def test_help_exits_cleanly(self, command, capsys):

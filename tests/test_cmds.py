@@ -235,7 +235,7 @@ class TestStackedPass:
             return blocks[-1]
 
         monkeypatch.setattr(cmds, "_stacked_mds", recorded)
-        stacked = [_solution(c, e) for c, e in _mds_slices(stack.transpose(1, 2, 0)[h, j], p)]
+        stacked = [_solution(c, e) for c, e in _mds_slices(stack.transpose(1, 2, 0)[h, j], n, p)]
         assert step > 1 and [len(c) for c, _ in blocks] == [step, step, step, 1]
         for values, solution in zip(stack, stacked):
             configuration, evals, negative = _per_slice_mds(values, p)

@@ -22,7 +22,7 @@ from fmds import (
     rolling_dissimilarity_tensor,
     validate,
 )
-from fmds.dissimilarity import _power_of_two_scale
+from fmds.dissimilarity import _pair_starts, _power_of_two_scale
 from fmds.io import ingest_tensor, write_tensor
 
 
@@ -346,6 +346,18 @@ class TestTensorArray:
         ]
         for tensor in tensors:
             assert np.shares_memory(tensor.stacked(), tensor.values)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_pair_starts_follow_triu_indices(self, n):
+        starts = _pair_starts(n)
+        h, j = np.triu_indices(n, 1)
+        assert len(starts) == n and starts[0] == 0 and starts[-1] == len(h)
+        # row for row: object a's pairs (a, a + 1), ..., (a, n - 1) are the
+        # rows from starts[a] to the next object's start
+        for a in range(n - 1):
+            rows = slice(starts[a], starts[a + 1])
+            assert h[rows].tolist() == [a] * (n - 1 - a)
+            assert j[rows].tolist() == list(range(a + 1, n))
 
 
 class TestRollingTensor:

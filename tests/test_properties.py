@@ -130,7 +130,7 @@ def _same_blocks(condensed, full, n):
     ``classical_mds`` on the full (n, n) slice, for every embedding
     dimension up to 2."""
     for p in range(1, min(n - 1, 2) + 1):
-        got = list(_mds_slices(condensed, p))
+        got = list(_mds_slices(condensed, n, p))
         assert len(got) == len(full)
         for (configuration, eigenvalues), values in zip(got, full):
             expected = classical_mds(DissimilarityMatrix(values), p)
