@@ -68,8 +68,8 @@ def _values(perturb_seed: int | None) -> dict:
         warm_start = fmds.fitting.init_from_cmds
         rng = np.random.default_rng(perturb_seed)
 
-        def perturbed(tensor, config):
-            start = warm_start(tensor, config)
+        def perturbed(tensor, config, **kwargs):
+            start = warm_start(tensor, config, **kwargs)
             noise = 1.0 + 1e-16 * rng.standard_normal(start.coefficients.shape)
             return fmds.fitting.CoefficientSet(start.coefficients * noise, start.knots)
 

@@ -392,6 +392,8 @@ def rolling_dissimilarity_tensor(
         raise WindowTooLong(f"window of {window_len} exceeds the {m} available time points")
     if window_len < 1 or (metric == "correlation" and window_len < 2):
         raise ConfigError(f"window of {window_len} too short for metric {metric!r}")
+    if panel.n < 2:
+        raise ShapeError(f"need at least 2 objects, got {panel.n}")
 
     count = len(range(window_len, m + 1, stride))
     pairs = np.empty((panel.n * (panel.n - 1) // 2, count))

@@ -351,7 +351,11 @@ def _stream_tensor(handle, lines: int) -> DissimilarityTensor | None:
     pairs = rows.size if same.all() else int(same.argmin())
     lo = np.minimum(rows["i"][:pairs], rows["j"][:pairs])
     hi = np.maximum(rows["i"][:pairs], rows["j"][:pairs])
-    ids = np.union1d(lo, hi)
+    # the sorted distinct ids by a sort and a neighbour mask: np.unique would
+    # import numpy.ma, about 1 MiB, into every tensor run
+    ids = np.concatenate((lo, hi))
+    ids.sort()
+    ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
     n = ids.size
     m, extra = divmod(lines, pairs)
     a, b = np.triu_indices(n, 1)
@@ -491,7 +495,11 @@ def write_stress_log(stress_values: np.ndarray, displacements: np.ndarray, path,
 
 
 def write_json(payload: dict, path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write ``payload`` as indented JSON, encoded into the file a chunk at a
+    time, so the whole text never exists at once."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def read_json(path) -> dict:

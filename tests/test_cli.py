@@ -129,6 +129,16 @@ class TestDissim:
         assert _run("dissim", "--input", panel, "--format", "wide_csv",
                     "--window", "5", "--out", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("metric", ["correlation", "euclidean"])
+    def test_one_object_exit(self, tmp_path, capsys, metric):
+        panel = tmp_path / "p.csv"
+        panel.write_text("object,1,2,3,4\naa,1,3,2,4\n")
+        out = tmp_path / "o"
+        assert _run("dissim", "--input", panel, "--format", "wide_csv", "--metric", metric,
+                    "--window", "3", "--out", out) == 4
+        assert capsys.readouterr().err == "error: need at least 2 objects, got 1\n"
+        assert not (out / "tensor.csv").exists()
+
 
 class TestCmds:
     def test_single_slice_artifacts(self, tmp_path):

@@ -400,6 +400,13 @@ class TestRollingTensor:
         with pytest.raises(ConfigError):
             rolling_dissimilarity_tensor(panel, "cosine", 1, 1)
 
+    @pytest.mark.parametrize("metric", ["correlation", "euclidean"])
+    def test_one_object_refused(self, metric):
+        # a one-object panel has no pairs, whichever metric builds them
+        panel = _panel([[0.0, 1.0, 3.0, 2.0]])
+        with pytest.raises(ShapeError, match=r"^need at least 2 objects, got 1$"):
+            rolling_dissimilarity_tensor(panel, metric, 3, 1)
+
 
 class TestValidate:
     def test_euclidean_passes_all(self):

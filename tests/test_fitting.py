@@ -677,6 +677,34 @@ class TestFit:
         assert start.coefficients.flags.c_contiguous
         assert fit(tensor, config).initial_stress == stress(start, tensor)
 
+    @pytest.mark.parametrize("kind, p", [("smooth_rotation", 2), ("random_walk_smoothed", 3)])
+    def test_one_basis_per_fit(self, monkeypatch, kind, p):
+        # fit tabulates the basis once and hands it to its warm start, which
+        # is the one init_from_cmds gives on its own
+        import fmds.fitting
+
+        _, tensor, _ = generate(SyntheticScenario(kind, n=6, m=30, seed=4))
+        config = FitConfig(p=p, interior_knots=3, max_epochs=2)
+        tabulate, warm = fmds.fitting.basis_matrix, fmds.fitting.init_from_cmds
+        calls, starts = [], []
+
+        def counted(*args):
+            calls.append(args)
+            return tabulate(*args)
+
+        def recorded(*args, **kwargs):
+            start = warm(*args, **kwargs)
+            # the epochs move the coefficients in place
+            starts.append(start.coefficients.copy())
+            return start
+
+        monkeypatch.setattr(fmds.fitting, "basis_matrix", counted)
+        monkeypatch.setattr(fmds.fitting, "init_from_cmds", recorded)
+        fit(tensor, config)
+        assert len(calls) == 1 and len(starts) == 1
+        monkeypatch.undo()
+        assert np.array_equal(starts[0], init_from_cmds(tensor, config).coefficients)
+
 
 class TestPairwiseAdamKernel:
     @staticmethod

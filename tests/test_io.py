@@ -1,6 +1,7 @@
 """Tests for file formats: panel/tensor ingestion, writers, SVG plots, manifests."""
 
 import csv
+import json
 import math
 import os
 import subprocess
@@ -33,6 +34,7 @@ from fmds.io import (
     ingest_panel,
     ingest_tensor,
     write_coordinates,
+    write_json,
     write_panel,
     write_tensor,
     write_trajectories,
@@ -681,6 +683,43 @@ def test_write_tensor_bytes_match_double_loop(tmp_path, n, manifest_hash):
     write_tensor(tensor, tmp_path / "new.csv", manifest_hash=manifest_hash)
     (tmp_path / "old.csv").write_text(_double_loop_tensor_text(tensor, manifest_hash))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_json_bytes_match_dumps(tmp_path):
+    payload = {"labels": ["bü", " c", "plain"], "eigenvalues": [[1.5, -0.0, 1e-300],
+               [0.1, 1e17, 5e-324]], "epochs_run": 50, "converged": False, "deterministic": True,
+               "best_epoch": None, "nested": {"z": [[]], "a": {"k": [1, 2.5]}}}
+    write_json(payload, tmp_path / "summary.json")
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "summary.json").read_bytes() == expected.encode("utf-8")
+
+
+# Run in a fresh interpreter, so that no earlier import has loaded numpy.ma.
+_NO_MASKED_ARRAYS_SCRIPT = r"""
+import sys
+
+import numpy
+
+before = "numpy.ma" in sys.modules
+from fmds.io import ingest_tensor
+
+tensor = ingest_tensor(sys.argv[1])
+print(before, "numpy.ma" in sys.modules, tensor.n, tensor.num_times)
+"""
+
+
+def test_write_order_ingest_loads_no_masked_arrays(tmp_path):
+    # numpy.ma costs about 1 MiB and 15 ms per process; np.unique imports it
+    _, tensor, _ = generate(SyntheticScenario("smooth_rotation", n=7, m=5, seed=3))
+    write_tensor(tensor, tmp_path / "t.csv", manifest_hash="abc")
+    env = dict(os.environ, PYTHONPATH=str(Path(fmds.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS_SCRIPT,
+                            str(tmp_path / "t.csv")], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    before, after, n, m = child.stdout.split()
+    if before == "True":
+        pytest.skip("importing numpy alone loads numpy.ma (numpy 1.x)")
+    assert (after, n, m) == ("False", "7", "5")
 
 
 def _line_scan_tensor(path):
