@@ -448,14 +448,15 @@ class _PairwiseAdam:
     """Moments, counters and scratch buffers of the pairwise Adam epoch.
 
     ``epoch`` gives bit for bit the results of calling ``_pair_grad`` and
-    then ``reference.AdamState.step`` for h and for j at every pair, in
-    order. The j-side steps (gradient -g) of a row are kept and applied as
-    one batch at the end of the row. This is exact: each j is visited once
-    in the row and neither its coefficients nor its moments are read again
-    before the row ends, so only the steps for h depend on their order. Both
-    objects step through ``_adam_update``: h at every pair with ``gain``, and
-    the row's batch of j's with ``gain_j``. Each element still goes through
-    the same arithmetic as in the reference, in fewer numpy calls.
+    then the test reference ``AdamState.step`` (``tests/naive_reference.py``)
+    for h and for j at every pair, in order. The j-side steps (gradient -g)
+    of a row are kept and applied as one batch at the end of the row. This
+    is exact: each j is visited once in the row and neither its coefficients
+    nor its moments are read again before the row ends, so only the steps
+    for h depend on their order. Both objects step through ``_adam_update``:
+    h at every pair with ``gain``, and the row's batch of j's with
+    ``gain_j``. Each element still goes through the same arithmetic as in
+    the reference, in fewer numpy calls.
     """
 
     def __init__(self, n: int, p: int, q: int, basis: np.ndarray, alpha: float,
@@ -592,13 +593,12 @@ def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
     stress_log: list[float] = []
     disp_log: list[float] = []
     converged = False
-    epochs = 0
-    for epoch in range(config.max_epochs):
+    # epochs count from 1, as best_epoch and stress.csv count them
+    for epoch in range(1, config.max_epochs + 1):
         before = coeffs.copy()
         epoch_step()
 
         value = _stress_value(coeffs, pairs, basis)
-        epochs = epoch + 1
         if not np.isfinite(value) or value > overflow:
             raise DivergedError(f"diverged at epoch {epoch}: stress {value}", epoch=epoch)
         stress_log.append(value)
@@ -611,7 +611,7 @@ def fit(tensor: DissimilarityTensor, config: FitConfig) -> FitResult:
     return FitResult(
         coefficients=CoefficientSet(coeffs, knots),
         stress_per_epoch=np.asarray(stress_log),
-        epochs_run=epochs,
+        epochs_run=epoch,
         converged=converged,
         max_displacement_per_epoch=np.asarray(disp_log),
         initial_stress=initial_stress,

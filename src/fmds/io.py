@@ -17,7 +17,7 @@ import itertools
 import json
 import math
 import warnings
-from pathlib import Path
+from contextlib import closing
 
 import numpy as np
 
@@ -38,39 +38,37 @@ _SCAN_CHUNK = 1 << 20
 # tensor: 64 KiB of parsed rows, below glibc's default 128 KiB mmap threshold,
 # so freeing a chunk does not raise that threshold for the rest of the run.
 _STREAM_ROWS = 1 << 11
-# characters of a file's text split into lines at a time
-_PIECE = 1 << 16
+# bytes of whole lines decoded at a time; one line at a time costs twice as much
+_LINE_BYTES = 1 << 16
 
 
-def _read_text(path) -> str:
-    """A file's text, decoded as UTF-8 with its line ends as written."""
+def _text_lines(path):
+    r"""Yield ``text.splitlines(keepends=True)`` of a file's UTF-8 text,
+    decoding about ``_LINE_BYTES`` of whole raw lines, each ending in b'\n',
+    at a time. No UTF-8 sequence holds byte 0x0a, and a '\n' ends a line
+    without splitting a '\r\n', so the lines are the same. A file whose
+    lines end in '\r' alone is one raw line, held whole. A byte that is not
+    UTF-8 is named once the complete lines before it have been yielded."""
+    count = 0
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
+            while raw := b"".join(handle.readlines(_LINE_BYTES)):
+                try:
+                    lines = raw.decode("utf-8").splitlines(keepends=True)
+                except UnicodeDecodeError as exc:
+                    *lines, _ = (raw[:exc.start].decode("utf-8") + "_").splitlines(keepends=True)
+                    yield from lines
+                    raise IngestError(f"{path}:{count + len(lines) + 1}: not UTF-8 text "
+                                      f"(byte {raw[exc.start]:#04x})") from None
+                count += len(lines)
+                yield from lines
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len((data[:exc.start].decode("utf-8") + "_").splitlines())
-        raise IngestError(f"{path}:{line}: not UTF-8 text (byte {data[exc.start]:#04x})") from None
 
 
-def _lines(text: str, size: int = _PIECE):
-    r"""Yield ``text.splitlines(keepends=True)`` one line at a time, splitting
-    pieces of about ``size`` characters. Each piece ends just after a '\n',
-    and a cut there never splits a '\r\n', so the lines are the same."""
-    start = 0
-    while start < len(text):
-        cut = text.find("\n", start + size - 1)
-        stop = len(text) if cut == -1 else cut + 1
-        yield from text[start:stop].splitlines(keepends=True)
-        start = stop
-
-
-def _records(raw: str):
-    """Yield the CSV records of a file's text one at a time, each with the
-    1-based line it starts on.
+def _records(path):
+    """Yield the CSV records of a file one at a time, each with the 1-based
+    line it starts on, reading its lines from ``_text_lines``.
 
     Blank lines and lines starting with '#' are skipped between records;
     inside a quoted cell they belong to the cell, so a quoted label may hold
@@ -83,7 +81,7 @@ def _records(raw: str):
     consumed: list[str] = []
 
     def lines():
-        for lineno, line in enumerate(_lines(raw), start=1):
+        for lineno, line in enumerate(_text_lines(path), start=1):
             if not start:
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):
@@ -145,65 +143,66 @@ def ingest_panel(path) -> ObjectPanel:
     The header row carries time labels (parsed as numbers when they all
     are; otherwise the grid falls back to 1..m); the first column carries
     object labels; the body must be fully numeric with no missing cells.
-    Each record is converted as soon as it is read.
+    Each record is converted as soon as it is read, a few whole lines at a
+    time, so an IngestError names the first fault in file order.
     """
-    records = _records(_read_text(path))
-    header_line, header = next(records, (None, None))
-    first = next(records, None)
-    if first is None:
-        raise IngestError(f"{path}: need a header row and at least one object row")
-    if len(header) < 2:
-        raise IngestError(f"{path}:{header_line}: header must list at least one time label")
-    time_labels = header[1:]
-    m = len(time_labels)
+    with closing(_records(path)) as records:
+        header_line, header = next(records, (None, None))
+        first = next(records, None)
+        if first is None:
+            raise IngestError(f"{path}: need a header row and at least one object row")
+        if len(header) < 2:
+            raise IngestError(f"{path}:{header_line}: header must list at least one time label")
+        time_labels = header[1:]
+        m = len(time_labels)
 
-    try:
-        grid = np.array([float(lbl) for lbl in time_labels])
-        if not np.isfinite(grid).all():
-            raise IngestError(f"{path}:{header_line}: non-finite time label")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0):
-            raise IngestError(
-                f"{path}:{header_line}: numeric time labels must be strictly increasing"
-            )
-    except ValueError:
-        grid = np.arange(1.0, m + 1.0)
+        try:
+            grid = np.array([float(lbl) for lbl in time_labels])
+            if not np.isfinite(grid).all():
+                raise IngestError(f"{path}:{header_line}: non-finite time label")
+            if grid.size > 1 and not np.all(np.diff(grid) > 0):
+                raise IngestError(
+                    f"{path}:{header_line}: numeric time labels must be strictly increasing"
+                )
+        except ValueError:
+            grid = np.arange(1.0, m + 1.0)
 
-    labels: list[str] = []
-    seen: set[str] = set()
-    values = []
-    for r, (lineno, cells) in enumerate(itertools.chain([first], records)):
-        if len(cells) != m + 1:
-            raise IngestError(
-                f"{path}:{lineno}: expected {m + 1} cells, found {len(cells)}"
-            )
-        label = cells[0]
-        if not label:
-            raise IngestError(f"{path}:{lineno}: empty object label (row {r + 2}, column 1)")
-        if label in seen:
-            raise IngestError(f"{path}:{lineno}: duplicate object label {label!r}")
-        seen.add(label)
-        labels.append(label)
-        row = np.empty(m)
-        for c, cell in enumerate(cells[1:]):
-            if cell == "":
+        labels: list[str] = []
+        seen: set[str] = set()
+        values = []
+        for r, (lineno, cells) in enumerate(itertools.chain([first], records)):
+            if len(cells) != m + 1:
                 raise IngestError(
-                    f"{path}:{lineno}: missing value at row {r + 2}, column {c + 2}"
+                    f"{path}:{lineno}: expected {m + 1} cells, found {len(cells)}"
                 )
-            try:
-                value = float(cell)
-            except ValueError:
-                raise IngestError(
-                    f"{path}:{lineno}: non-numeric value {cell!r} at row {r + 2}, "
-                    f"column {c + 2}"
-                ) from None
-            if not math.isfinite(value):
-                raise IngestError(
-                    f"{path}:{lineno}: non-finite value {cell!r} at row {r + 2}, "
-                    f"column {c + 2}"
-                )
-            row[c] = value
-        values.append(row)
-    return ObjectPanel(tuple(labels), np.array(values), grid)
+            label = cells[0]
+            if not label:
+                raise IngestError(f"{path}:{lineno}: empty object label (row {r + 2}, column 1)")
+            if label in seen:
+                raise IngestError(f"{path}:{lineno}: duplicate object label {label!r}")
+            seen.add(label)
+            labels.append(label)
+            row = np.empty(m)
+            for c, cell in enumerate(cells[1:]):
+                if cell == "":
+                    raise IngestError(
+                        f"{path}:{lineno}: missing value at row {r + 2}, column {c + 2}"
+                    )
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise IngestError(
+                        f"{path}:{lineno}: non-numeric value {cell!r} at row {r + 2}, "
+                        f"column {c + 2}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise IngestError(
+                        f"{path}:{lineno}: non-finite value {cell!r} at row {r + 2}, "
+                        f"column {c + 2}"
+                    )
+                row[c] = value
+            values.append(row)
+        return ObjectPanel(tuple(labels), np.array(values), grid)
 
 
 def _write_csv(path, manifest_hash: str | None, header: str, blocks) -> None:
@@ -237,8 +236,8 @@ def ingest_tensor(path) -> DissimilarityTensor:
     time. Any other file (rows out of that order, self rows, both triangles,
     duplicates, quoted cells, comment or whitespace-only lines in the body,
     non-ASCII text, ``int`` spellings like ``1_0``) or one that turns out
-    invalid is read by the line scan, which builds the same tensor row by
-    row or names the first faulty line.
+    invalid is read by the line scan, a few whole lines at a time, which
+    builds the same tensor row by row or names the first fault in file order.
     """
     tensor = _array_tensor(path)
     return _scan_tensor(path) if tensor is None else tensor
@@ -389,51 +388,52 @@ def _stream_tensor(handle, lines: int) -> DissimilarityTensor | None:
 
 
 def _scan_tensor(path) -> DissimilarityTensor:
-    """The tensor of the file's csv records, read and checked line by line
-    in file order; its pairs are filled while their coverage is checked in
-    time and id order. An IngestError names the first fault."""
-    records = _records(_read_text(path))
-    header_line, header = next(records, (None, None))
-    if header is None:
-        raise IngestError(f"{path}: empty file")
-    if not _is_tensor_header(header):
-        raise IngestError(f"{path}:{header_line}: header must be t,i,j,d")
+    """The tensor of the file's csv records, read a few whole lines at a time
+    and checked in file order; its pairs are filled while their coverage is
+    checked in time and id order. An IngestError names the first fault in
+    file order, a byte that is not UTF-8 included."""
+    with closing(_records(path)) as records:
+        header_line, header = next(records, (None, None))
+        if header is None:
+            raise IngestError(f"{path}: empty file")
+        if not _is_tensor_header(header):
+            raise IngestError(f"{path}:{header_line}: header must be t,i,j,d")
 
-    entries: dict[tuple[float, int, int], float] = {}
-    ids: set[int] = set()
-    times: set[float] = set()
-    for lineno, cells in records:
-        if len(cells) != 4:
-            raise IngestError(f"{path}:{lineno}: expected 4 cells, found {len(cells)}")
-        try:
-            t = float(cells[0])
-            i = int(cells[1])
-            j = int(cells[2])
-            d = float(cells[3])
-        except ValueError:
-            raise IngestError(f"{path}:{lineno}: malformed row {cells!r}") from None
-        if i not in _INT64 or j not in _INT64:
-            raise IngestError(f"{path}:{lineno}: object id outside the int64 range in row "
-                              f"{cells!r}")
-        if not (math.isfinite(t) and math.isfinite(d)):
-            raise IngestError(f"{path}:{lineno}: non-finite value in row {cells!r}")
-        if d < 0:
-            raise IngestError(f"{path}:{lineno}: negative dissimilarity {d}")
-        if i == j:
-            if d != 0.0:
-                raise IngestError(f"{path}:{lineno}: nonzero self-dissimilarity for object {i}")
-            ids.add(i)
+        entries: dict[tuple[float, int, int], float] = {}
+        ids: set[int] = set()
+        times: set[float] = set()
+        for lineno, cells in records:
+            if len(cells) != 4:
+                raise IngestError(f"{path}:{lineno}: expected 4 cells, found {len(cells)}")
+            try:
+                t = float(cells[0])
+                i = int(cells[1])
+                j = int(cells[2])
+                d = float(cells[3])
+            except ValueError:
+                raise IngestError(f"{path}:{lineno}: malformed row {cells!r}") from None
+            if i not in _INT64 or j not in _INT64:
+                raise IngestError(f"{path}:{lineno}: object id outside the int64 range in row "
+                                  f"{cells!r}")
+            if not (math.isfinite(t) and math.isfinite(d)):
+                raise IngestError(f"{path}:{lineno}: non-finite value in row {cells!r}")
+            if d < 0:
+                raise IngestError(f"{path}:{lineno}: negative dissimilarity {d}")
+            if i == j:
+                if d != 0.0:
+                    raise IngestError(f"{path}:{lineno}: nonzero self-dissimilarity for object {i}")
+                ids.add(i)
+                times.add(t)
+                continue
+            key = (t, min(i, j), max(i, j))
+            if key in entries and abs(entries[key] - d) > 1e-10:
+                raise IngestError(
+                    f"{path}:{lineno}: conflicting values for pair ({key[1]}, {key[2]}) "
+                    f"at t={t}: {entries[key]} vs {d}"
+                )
+            entries.setdefault(key, d)
+            ids.update((i, j))
             times.add(t)
-            continue
-        key = (t, min(i, j), max(i, j))
-        if key in entries and abs(entries[key] - d) > 1e-10:
-            raise IngestError(
-                f"{path}:{lineno}: conflicting values for pair ({key[1]}, {key[2]}) "
-                f"at t={t}: {entries[key]} vs {d}"
-            )
-        entries.setdefault(key, d)
-        ids.update((i, j))
-        times.add(t)
 
     if not entries:
         raise IngestError(f"{path}: no pair rows found")
@@ -489,9 +489,10 @@ def write_trajectories(grid: np.ndarray, positions: np.ndarray, labels, path,
 
 def write_stress_log(stress_values: np.ndarray, displacements: np.ndarray, path,
                      manifest_hash: str | None = None) -> None:
+    """One row per epoch, numbered from 1 as ``FitResult.best_epoch`` counts."""
     _write_csv(path, manifest_hash, "epoch,stress,max_displacement",
                ["".join(f"{e},{_FLOAT.format(s)},{_FLOAT.format(d)}\n"
-                        for e, (s, d) in enumerate(zip(stress_values, displacements)))])
+                        for e, (s, d) in enumerate(zip(stress_values, displacements), start=1))])
 
 
 def write_json(payload: dict, path) -> None:
@@ -500,7 +501,3 @@ def write_json(payload: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def read_json(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))

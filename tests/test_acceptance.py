@@ -32,7 +32,7 @@ from fmds import (
     stress,
 )
 from fmds.cli import main as cli_main
-from fmds.reference import AdamState
+from naive_reference import AdamState
 
 
 def _criterion(num: int, passed: bool, detail: str) -> None:

@@ -96,7 +96,7 @@ def test_tensor_inputs_stream(tmp_path, monkeypatch, workload, seed):
     def refuse(*args):
         raise AssertionError("read by the line scan")
 
-    monkeypatch.setattr(fmds_io, "_read_text", refuse)
+    monkeypatch.setattr(fmds_io, "_text_lines", refuse)
     monkeypatch.setattr(fmds_io, "_records", refuse)
     back = fmds_io.ingest_tensor(argv[argv.index("--input") + 1])
     assert back.time_grid.tobytes() == tensor.time_grid.tobytes()

@@ -245,6 +245,21 @@ class TestFmdsCommand:
         assert summary["initial_stress"] == pytest.approx(1.784e-6, rel=1e-3)
         assert summary["final_stress"] == pytest.approx(3.357, rel=1e-3)
 
+    def test_stress_log_numbers_epochs_as_the_summary_does(self, tmp_path):
+        src = tmp_path / "s"
+        assert _run("synth", "--scenario", "smooth_rotation", "--n", "5", "--m", "40",
+                    "--seed", "42", "--out", src) == 0
+        out = tmp_path / "f"
+        assert _run("fmds", "--input", src / "tensor.csv", "--knots", "4", "--max-epochs", "30",
+                    "--init", "random", "--seed", "42", "--out", out) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        # the header follows the manifest line
+        rows = [line.split(",") for line in (out / "stress.csv").read_text().splitlines()[2:]]
+        stress = {int(epoch): float(value) for epoch, value, _ in rows}
+        assert summary["best_epoch"] > 0
+        assert stress[summary["best_epoch"]] == summary["best_stress"]
+        assert int(rows[-1][0]) == summary["epochs_run"] == len(rows)
+
     def test_one_time_point_exit(self, tmp_path, capsys):
         tsv = tmp_path / "one.csv"
         tsv.write_text("t,i,j,d\n0,1,2,1\n0,1,3,1\n0,2,3,1\n")

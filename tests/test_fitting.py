@@ -4,6 +4,7 @@ and the pairwise Adam loop."""
 import functools
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -45,7 +46,8 @@ from fmds.fitting import (
     _sum_rows,
     _tree_sum,
 )
-from fmds.reference import AdamState, central_difference_gradient, naive_stress_and_grad
+from fmds.reference import central_difference_gradient
+from naive_reference import AdamState, naive_stress_and_grad
 
 
 def _tensor_from_positions(positions, grid):
@@ -492,7 +494,10 @@ class TestFit:
                         rng_seed=0, init_mode="random", baseline="full_batch_gd")
         with pytest.raises(DivergedError) as exc_info:
             fit(tensor, cfg)
-        assert exc_info.value.epoch >= 0
+        # epochs count from 1: the epochs before the reported one run
+        epoch = exc_info.value.epoch
+        assert str(exc_info.value).startswith(f"diverged at epoch {epoch}: ")
+        assert fit(tensor, replace(cfg, max_epochs=epoch - 1)).epochs_run == epoch - 1
 
     def test_large_units_do_not_diverge(self):
         # stress far above 1e30 is still the warm start's when d is in large units

@@ -29,7 +29,6 @@ from fmds import SyntheticScenario, generate, svgplot
 from fmds import io as fmds_io
 from fmds.io import (
     _FLOAT,
-    _read_text,
     _records,
     ingest_panel,
     ingest_tensor,
@@ -190,6 +189,34 @@ class TestIngestPanel:
         assert peak <= 3.25 * path.stat().st_size
         assert back.values.tobytes() == panel.values.tobytes()
 
+    def test_peak_memory_below_the_file_size(self, tmp_path):
+        rng = np.random.default_rng(3)
+        panel = ObjectPanel(tuple(f"o{k}" for k in range(100)), rng.normal(size=(100, 2000)),
+                            np.arange(2000.0))
+        path = tmp_path / "p.csv"
+        write_panel(panel, path)
+        tracemalloc.start()
+        try:
+            back = ingest_panel(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the rows and their array, read a few whole lines at a time; the
+        # file's whole text next to them peaked at about twice the file's size
+        assert peak < path.stat().st_size
+        assert back.values.tobytes() == panel.values.tobytes()
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_first_fault_in_file_order_named(self, tmp_path, end):
+        # a '\r'-only file is one raw line: its lines before the bad byte
+        # are still read first
+        path = tmp_path / "p.csv"
+        lines = ["object,1,2", "aa,1,x", "bb,1,2\xff", "cc,1,2"]
+        path.write_bytes(end.join(lines).encode("latin-1"))
+        with pytest.raises(IngestError) as info:
+            ingest_panel(path)
+        assert str(info.value) == f"{path}:2: non-numeric value 'x' at row 2, column 3"
+
 
 def test_writers_quote_labels(tmp_path):
     labels = ("a,b", 'q"uote', "line\nbreak", "plain")
@@ -227,6 +254,7 @@ def test_writers_format_rows_as_numpy_scalars(tmp_path, p):
 
 # Run in a child whose locale encodes only ASCII; the source itself is ASCII.
 _ASCII_LOCALE_SCRIPT = r"""
+import json
 import locale
 import sys
 
@@ -234,7 +262,7 @@ import numpy as np
 
 from fmds import ObjectPanel
 from fmds.cli import main
-from fmds.io import ingest_panel, read_json, write_coordinates, write_json, write_panel
+from fmds.io import ingest_panel, write_coordinates, write_json, write_panel
 
 assert locale.getpreferredencoding(False).lower() in ("ascii", "ansi_x3.4-1968")
 out = sys.argv[1]
@@ -244,7 +272,8 @@ write_panel(panel, out + "/panel.csv")
 assert ingest_panel(out + "/panel.csv").labels == labels
 write_coordinates(panel.values[:, :2], labels, out + "/coordinates.csv")
 write_json({"labels": labels}, out + "/labels.json")
-assert tuple(read_json(out + "/labels.json")["labels"]) == labels
+with open(out + "/labels.json", encoding="utf-8") as handle:
+    assert tuple(json.loads(handle.read())["labels"]) == labels
 sys.exit(main(["fmds", "--input", out + "/panel.csv", "--format", "wide_csv",
                "--metric", "euclidean", "--window", "3", "--knots", "0",
                "--max-epochs", "2", "--out", out + "/fit", "--deterministic"]))
@@ -464,7 +493,7 @@ class TestIngestTensor:
         monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(k) or loadtxt(*a, **k))
         monkeypatch.setattr(fmds_io, "_STREAM_ROWS", stream_rows)
         monkeypatch.setattr(fmds_io, "_SCAN_CHUNK", scan_bytes)
-        monkeypatch.setattr(fmds_io, "_read_text", refuse)
+        monkeypatch.setattr(fmds_io, "_text_lines", refuse)
         monkeypatch.setattr(fmds_io, "_records", refuse)
         monkeypatch.setattr(np, "argsort", refuse)
         back = ingest_tensor(path)
@@ -642,6 +671,14 @@ class TestIngestTensor:
             ingest_tensor(path)
         assert str(info.value) == f"{path}:3: not UTF-8 text (byte 0xff)"
 
+    def test_first_fault_in_file_order_named(self, tmp_path):
+        # rows out of write order, so the line scan reads the file
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"t,i,j,d\n1,1,2,0.5\n0,1,2,abc\n0,1,3,0.5\xff\n")
+        with pytest.raises(IngestError) as info:
+            ingest_tensor(path)
+        assert str(info.value) == f"{path}:3: malformed row ['0', '1', '2', 'abc']"
+
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         grid = np.sort(rng.uniform(0.0, 5.0, 4))
@@ -722,10 +759,49 @@ def test_write_order_ingest_loads_no_masked_arrays(tmp_path):
     assert (after, n, m) == ("False", "7", "5")
 
 
+_VERIFY_NO_MASKED_ARRAYS_SCRIPT = r"""
+import sys
+
+import numpy
+
+before = "numpy.ma" in sys.modules
+from fmds.cli import main
+
+code = main(["verify"])
+print(before, "numpy.ma" in sys.modules, code)
+"""
+
+
+def test_verify_loads_no_masked_arrays():
+    env = dict(os.environ, PYTHONPATH=str(Path(fmds.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", _VERIFY_NO_MASKED_ARRAYS_SCRIPT], env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    before, after, code = child.stdout.splitlines()[-1].split()
+    if before == "True":
+        pytest.skip("importing numpy alone loads numpy.ma (numpy 1.x)")
+    assert (after, code) == ("False", "0")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("reader, text", [
+    (ingest_panel, "object,1,2\naa,1,2\nbb,1,x\n" + "cc,1,2\n" * 100),
+    (ingest_tensor, "t,i,j,d\n1,1,2,0.5\n0,1,2,abc\n" + "0,1,2,0.5\n" * 100),
+], ids=["panel", "tensor_line_scan"])
+def test_a_reader_that_raises_mid_file_closes_it(tmp_path, reader, text):
+    path = _write(tmp_path, "f.csv", text)
+    before = sorted(os.listdir("/proc/self/fd"))
+    # the exception info keeps the reader's frame, and so its line source, alive
+    with pytest.raises(IngestError) as info:
+        reader(path)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert ":3: " in str(info.value)
+
+
 def _line_scan_tensor(path):
     """The former ingest_tensor: a dict of first values filled row by row,
     then one Python double loop per time point (the differential reference)."""
-    rows = list(_records(_read_text(path)))
+    rows = list(_records(path))
     if not rows:
         raise IngestError(f"{path}: empty file")
     header_line, header = rows[0]
@@ -813,6 +889,8 @@ _FAULTS = ("none", "negative", "conflict", "missing", "self", "cells", "float_id
 _LINE_ENDS = ("\n", "\r", "\r\n", "\f", "\v", "\x1c", "\x85")
 # every line break str.splitlines knows
 _BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# text between line breaks, with characters of two, three and four UTF-8 bytes
+_TEXT = ("a", "bc", "#", '"', " ", "\u00e9", "\u20ac", "\U0001f600")
 # lines that may stand between rows: blank, comments, and non-ASCII text
 _FILLER = ("", "  ", "\t", "# note", " #x,y", "# na\u00efve \u00b5")
 
@@ -938,18 +1016,34 @@ if st is not None:
             patch.setattr(fmds_io, "_SCAN_CHUNK", chunk)
             assert fmds_io._plain_lines(path) == sum(map(bool, lines))
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 5])
+    # reads of a few bytes end after one or two raw lines
+    @pytest.mark.parametrize("size", [fmds_io._LINE_BYTES, 1, 2, 3, 5])
     @settings(max_examples=200)
-    @given(text=st.lists(st.sampled_from(_BREAKS + ("a", "bc", "#", '"', " "))).map("".join))
-    def test_lines_in_pieces_match_splitlines(size, text):
-        assert list(fmds_io._lines(text, size)) == text.splitlines(keepends=True)
+    @given(text=st.lists(st.sampled_from(_BREAKS + _TEXT)).map("".join))
+    def test_text_lines_match_splitlines(tmp_path_factory, size, text):
+        path = tmp_path_factory.mktemp("lines") / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fmds_io, "_LINE_BYTES", size)
+            assert list(fmds_io._text_lines(path)) == text.splitlines(keepends=True)
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("size", [fmds_io._LINE_BYTES, 1, 2, 3, 5])
 @pytest.mark.parametrize("text", ["ab\r\ncd\r\n", "a\r\r\n\n\r", "x\u2028y\u2029z\n",
-                                  "".join(_BREAKS), "no break"])
-def test_lines_keep_breaks_at_piece_edges(text, size):
-    assert list(fmds_io._lines(text, size)) == text.splitlines(keepends=True)
+                                  "".join(_BREAKS), "no break", "".join(_TEXT)])
+def test_text_lines_name_a_bad_byte_after_the_lines_before_it(tmp_path, monkeypatch, text,
+                                                              size):
+    monkeypatch.setattr(fmds_io, "_LINE_BYTES", size)
+    path = tmp_path / "t.csv"
+    for k in range(len(text) + 1):
+        path.write_bytes(text[:k].encode("utf-8") + b"\xff" + text[k:].encode("utf-8"))
+        # the whole text's lines up to the byte, the last holding it
+        *before, _ = (text[:k] + "_").splitlines(keepends=True)
+        lines = fmds_io._text_lines(path)
+        assert [next(lines) for _ in before] == before
+        with pytest.raises(IngestError) as info:
+            next(lines)
+        assert str(info.value) == f"{path}:{len(before) + 1}: not UTF-8 text (byte 0xff)"
 
 
 class TestRunManifest:
