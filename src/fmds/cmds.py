@@ -7,7 +7,8 @@ sign convention and an explicit tie-breaking order, so repeated runs on the
 same input are bit-identical.
 
 A stack of slices is solved block by block: each block is double-centered,
-eigendecomposed by one batched ``eigh`` and sign-fixed and sorted as arrays.
+eigendecomposed by one batched ``eigh``, sorted, and its returned columns
+sign-fixed, as arrays.
 Every step acts on each slice alone, so a slice gets the same bits in a
 block as on its own; ``classical_mds`` is the one-slice block.
 """
@@ -67,7 +68,7 @@ def double_center(matrix: DissimilarityMatrix) -> np.ndarray:
 
 
 def _fix_stacked_signs(vectors: np.ndarray) -> None:
-    """Flip, in place, each column of a (k, n, n) stack so its first
+    """Flip, in place, each column of a (k, n, c) stack so its first
     non-negligible entry is positive."""
     big = (vectors > _SIGN_FLOOR) | (vectors < -_SIGN_FLOOR)
     first = np.argmax(big, axis=1)[:, None]
@@ -88,15 +89,17 @@ def _stacked_mds(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         evals, evecs = np.linalg.eigh(_double_center_stack(values))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    _fix_stacked_signs(evecs)
     order = np.argsort(-evals, axis=1, kind="stable")
     ranked = np.take_along_axis(evals, order, 1)
-    # an exact tie (or a nan) is broken by the sign-fixed eigenvectors in
-    # order: lexsort's last row -evals is the primary key
+    # an exact tie (or a nan) is broken by the slice's sign-fixed eigenvectors
+    # in order: lexsort's last row -evals is the primary key
     for k in np.flatnonzero(~(ranked[:, :-1] > ranked[:, 1:]).all(axis=1)):
+        _fix_stacked_signs(evecs[k, None])
         order[k] = np.lexsort(np.vstack((evecs[k][::-1], -evals[k])))
         ranked[k] = evals[k][order[k]]
+    # the sign fix acts on each column alone, so only the p returned are fixed
     columns = np.take_along_axis(evecs.transpose(0, 2, 1), order[:, :p, None], 1)
+    _fix_stacked_signs(columns.transpose(0, 2, 1))
     columns *= np.sqrt(np.maximum(ranked[:, :p, None], 0.0))
     return columns.transpose(0, 2, 1), ranked
 

@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import warnings
+from array import array
 from contextlib import closing
 
 import numpy as np
@@ -33,12 +34,14 @@ _INT64 = range(-(2**63), 2**63)
 # splits exactly as str.splitlines does. '#' and '"' pass, for the comment
 # lines before the header; loadtxt refuses a body line that holds one.
 _PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n\r"
-_SCAN_CHUNK = 1 << 20
 # Rows per np.loadtxt call while a file in write order streams into its
 # tensor: 64 KiB of parsed rows, below glibc's default 128 KiB mmap threshold,
 # so freeing a chunk does not raise that threshold for the rest of the run.
 _STREAM_ROWS = 1 << 11
-# bytes of whole lines decoded at a time; one line at a time costs twice as much
+# Bytes the pre-scan reads at a time, and bytes of whole lines the line
+# readers decode at a time (one line at a time costs twice as much). A chunk
+# and each of the pre-scan's boolean arrays stay below glibc's 128 KiB mmap
+# threshold, as dissimilarity._BLOCK_BYTES explains.
 _LINE_BYTES = 1 << 16
 
 
@@ -144,7 +147,9 @@ def ingest_panel(path) -> ObjectPanel:
     are; otherwise the grid falls back to 1..m); the first column carries
     object labels; the body must be fully numeric with no missing cells.
     Each record is converted as soon as it is read, a few whole lines at a
-    time, so an IngestError names the first fault in file order.
+    time, so an IngestError names the first fault in file order. The rows
+    go straight into one growing array, which becomes the panel's values,
+    so they are held once.
     """
     with closing(_records(path)) as records:
         header_line, header = next(records, (None, None))
@@ -169,7 +174,7 @@ def ingest_panel(path) -> ObjectPanel:
 
         labels: list[str] = []
         seen: set[str] = set()
-        values = []
+        values = array("d")
         for r, (lineno, cells) in enumerate(itertools.chain([first], records)):
             if len(cells) != m + 1:
                 raise IngestError(
@@ -182,7 +187,6 @@ def ingest_panel(path) -> ObjectPanel:
                 raise IngestError(f"{path}:{lineno}: duplicate object label {label!r}")
             seen.add(label)
             labels.append(label)
-            row = np.empty(m)
             for c, cell in enumerate(cells[1:]):
                 if cell == "":
                     raise IngestError(
@@ -200,9 +204,8 @@ def ingest_panel(path) -> ObjectPanel:
                         f"{path}:{lineno}: non-finite value {cell!r} at row {r + 2}, "
                         f"column {c + 2}"
                     )
-                row[c] = value
-            values.append(row)
-        return ObjectPanel(tuple(labels), np.array(values), grid)
+                values.append(value)
+        return ObjectPanel(tuple(labels), np.frombuffer(values).reshape(-1, m), grid)
 
 
 def _write_csv(path, manifest_hash: str | None, header: str, blocks) -> None:
@@ -254,7 +257,7 @@ def _plain_lines(path) -> int | None:
     lines = 0
     last = b"\n"
     with open(path, "rb") as handle:
-        while chunk := handle.read(_SCAN_CHUNK):
+        while chunk := handle.read(_LINE_BYTES):
             if chunk.translate(None, _PLAIN):
                 return None
             # a line ends at each '\n' or '\r' that follows a byte of text;

@@ -11,9 +11,19 @@ the manifest's checks too.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass
+
+try:
+    # hashlib loads OpenSSL (about 3.7 MiB of RSS), a large share of a run
+    # that draws no random numbers; CPython's built-in SHA-256 gives the same
+    # digest, as random.py takes its SHA-512
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from .dissimilarity import _METRICS
 from .errors import ConfigError
@@ -88,4 +98,4 @@ class RunManifest:
 
     def sha256(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return _sha256(canonical.encode("utf-8")).hexdigest()

@@ -1,6 +1,8 @@
 """Tests for file formats: panel/tensor ingestion, writers, SVG plots, manifests."""
 
 import csv
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -204,7 +206,12 @@ class TestIngestPanel:
         # the rows and their array, read a few whole lines at a time; the
         # file's whole text next to them peaked at about twice the file's size
         assert peak < path.stat().st_size
+        # the values are held once, in one growing array (1.56x the values
+        # with a few lines); one array per row, copied into the panel at the
+        # end, peaked at 2.32x
+        assert peak <= 1.8 * back.values.nbytes
         assert back.values.tobytes() == panel.values.tobytes()
+        assert back.values.flags.c_contiguous and back.values.flags.writeable
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
     def test_first_fault_in_file_order_named(self, tmp_path, end):
@@ -444,7 +451,7 @@ class TestIngestTensor:
 
     # small byte chunks split '\r\n' line ends between two reads of the count
     @pytest.mark.parametrize("stream_rows, scan_bytes", [
-        (fmds_io._STREAM_ROWS, fmds_io._SCAN_CHUNK), (3, 7), (1, 2)])
+        (fmds_io._STREAM_ROWS, fmds_io._LINE_BYTES), (3, 7), (1, 2)])
     @pytest.mark.parametrize("n, m, end, variant", [
         (6, 4, "\n", None),
         (6, 4, "\r\n", None),
@@ -492,7 +499,7 @@ class TestIngestTensor:
         loadtxt = np.loadtxt
         monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(k) or loadtxt(*a, **k))
         monkeypatch.setattr(fmds_io, "_STREAM_ROWS", stream_rows)
-        monkeypatch.setattr(fmds_io, "_SCAN_CHUNK", scan_bytes)
+        monkeypatch.setattr(fmds_io, "_LINE_BYTES", scan_bytes)
         monkeypatch.setattr(fmds_io, "_text_lines", refuse)
         monkeypatch.setattr(fmds_io, "_records", refuse)
         monkeypatch.setattr(np, "argsort", refuse)
@@ -525,9 +532,9 @@ class TestIngestTensor:
         assert back.time_grid.tobytes() == tensor.time_grid.tobytes()
         assert back.stacked().tobytes() == tensor.stacked().tobytes()
 
-    @pytest.mark.parametrize("scan_bytes", [fmds_io._SCAN_CHUNK, 1, 2, 3, 5])
+    @pytest.mark.parametrize("scan_bytes", [fmds_io._LINE_BYTES, 1, 2, 3, 5])
     def test_plain_lines_counts_non_empty_lines(self, tmp_path, monkeypatch, scan_bytes):
-        monkeypatch.setattr(fmds_io, "_SCAN_CHUNK", scan_bytes)
+        monkeypatch.setattr(fmds_io, "_LINE_BYTES", scan_bytes)
         rng = np.random.default_rng(scan_bytes)
         path = tmp_path / "t.csv"
         for _ in range(40):
@@ -783,6 +790,47 @@ def test_verify_loads_no_masked_arrays():
     assert (after, code) == ("False", "0")
 
 
+_NO_OPENSSL_SCRIPT = r"""
+import sys
+
+import numpy
+
+print("_hashlib" in sys.modules)
+from fmds.cli import main
+
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print("_hashlib" in sys.modules, code)
+"""
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+                    reason="this Python has no built-in SHA-256 module")
+@pytest.mark.parametrize("command", ["cmds", "help"])
+def test_runs_that_draw_no_random_numbers_load_no_openssl(tmp_path, command):
+    # hashlib loads OpenSSL, about 3.7 MiB of peak RSS
+    _, tensor, _ = generate(SyntheticScenario("smooth_rotation", n=7, m=5, seed=3))
+    write_tensor(tensor, tmp_path / "t.csv", manifest_hash="abc")
+    argv = {"cmds": ["cmds", "--input", str(tmp_path / "t.csv"), "--out", str(tmp_path / "o")],
+            "help": ["--help"]}[command]
+    env = dict(os.environ, PYTHONPATH=str(Path(fmds.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", _NO_OPENSSL_SCRIPT, *argv], env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    before, after = child.stdout.splitlines()[0], child.stdout.splitlines()[-1]
+    if before == "True":
+        pytest.skip("importing numpy alone loads OpenSSL (numpy 1.x)")
+    assert after == "False 0"
+
+
+if st is not None:
+    @given(st.binary(max_size=2000))
+    def test_manifest_sha256_is_hashlib_sha256(data):
+        assert fmds.manifest._sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 @pytest.mark.parametrize("reader, text", [
     (ingest_panel, "object,1,2\naa,1,2\nbb,1,x\n" + "cc,1,2\n" * 100),
@@ -800,18 +848,20 @@ def test_a_reader_that_raises_mid_file_closes_it(tmp_path, reader, text):
 
 def _line_scan_tensor(path):
     """The former ingest_tensor: a dict of first values filled row by row,
-    then one Python double loop per time point (the differential reference)."""
-    rows = list(_records(path))
-    if not rows:
+    each row checked as it is read, then one Python double loop per time
+    point (the differential reference)."""
+    records = _records(path)
+    first = next(records, None)
+    if first is None:
         raise IngestError(f"{path}: empty file")
-    header_line, header = rows[0]
+    header_line, header = first
     if [h.strip().lower() for h in header] != ["t", "i", "j", "d"]:
         raise IngestError(f"{path}:{header_line}: header must be t,i,j,d")
 
     entries = {}
     ids = set()
     times = set()
-    for lineno, cells in rows[1:]:
+    for lineno, cells in records:
         if len(cells) != 4:
             raise IngestError(f"{path}:{lineno}: expected 4 cells, found {len(cells)}")
         try:
@@ -884,6 +934,8 @@ def _ingest_outcome(reader, path):
 
 _FAULTS = ("none", "negative", "conflict", "missing", "self", "cells", "float_id",
            "underscore_id", "hash", "quoted", "crlf", "not_utf8")
+# the faults that make a file invalid
+_INVALID = ("negative", "conflict", "missing", "self", "cells", "float_id", "hash", "not_utf8")
 # line ends: the first three split lines for universal newlines too, the
 # rest only for str.splitlines
 _LINE_ENDS = ("\n", "\r", "\r\n", "\f", "\v", "\x1c", "\x85")
@@ -909,6 +961,8 @@ def _underscored(cell):
 
 def _tensor_text(draw):
     """A valid t,i,j,d file, then at most one fault, with the fault's name.
+    A file made invalid may also get a byte that is not UTF-8 on the row
+    where its fault is found or a later one (any row for a missing pair).
 
     Its rows are either shuffled, with duplicates and self rows, or in the
     order ``write_tensor`` writes them; its lines end in one of
@@ -943,19 +997,23 @@ def _tensor_text(draw):
     fault = draw(st.sampled_from(_FAULTS), label="fault")
     k = rnd.randrange(len(rows))
     row = rows[k]
+    found = [row]  # the fault is found on the last of these rows in the file
     quoted = -1
     if fault == "negative":
         row[3] = "-0.5"
     elif fault == "conflict":
-        rows.insert(rnd.randint(0, len(rows)), row[:3] + [repr(float(row[3]) + 1e-3)])
+        found.append(row[:3] + [repr(float(row[3]) + 1e-3)])
+        rows.insert(rnd.randint(0, len(rows)), found[-1])
     elif fault == "missing":
         pair = rnd.choice([r for r in rows if r[1] != r[2]])
         key = (float(pair[0]), {pair[1], pair[2]})
         rows = [r for r in rows if (float(r[0]), {r[1], r[2]}) != key]
         rows.append([pair[0], pair[1], pair[1], "0"])  # keeps the time point and both ids
         rows.append([pair[0], pair[2], pair[2], "0"])
+        found = []  # a missing pair is found after the last row
     elif fault == "self":
-        rows.insert(rnd.randint(0, len(rows)), [row[0], row[1], row[1], "0.5"])
+        found = [[row[0], row[1], row[1], "0.5"]]
+        rows.insert(rnd.randint(0, len(rows)), found[0])
     elif fault == "cells":
         row.append("1") if rnd.random() < 0.5 else row.pop()
     elif fault == "float_id":
@@ -968,6 +1026,12 @@ def _tensor_text(draw):
         quoted = rnd.randrange(4)
     elif fault == "not_utf8":
         row[rnd.randrange(4)] += "\udcff"
+    if fault in _INVALID and draw(st.booleans(), label="then_not_utf8"):
+        # a second fault on the row where the first is found or after it:
+        # the first in file order is named
+        at = max((x for x, r in enumerate(rows) if any(r is f for f in found)), default=0)
+        later = rows[rnd.randrange(at, len(rows))]
+        later[rnd.randrange(len(later))] += "\udcff"
 
     def line(r):
         cells = [rnd.choice(["", " ", "\t"]) + c + rnd.choice(["", "  "]) for c in r]
@@ -999,8 +1063,7 @@ if st is not None:
             assert _ingest_outcome(ingest_tensor, path) == expected
         if fault in ("none", "quoted", "crlf"):
             assert not isinstance(expected, str)
-        elif fault in ("negative", "conflict", "missing", "self", "cells", "float_id", "hash",
-                       "not_utf8"):
+        elif fault in _INVALID:
             assert isinstance(expected, str)
 
     @settings(max_examples=300)
@@ -1013,7 +1076,7 @@ if st is not None:
         path.write_bytes(data)
         lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fmds_io, "_SCAN_CHUNK", chunk)
+            patch.setattr(fmds_io, "_LINE_BYTES", chunk)
             assert fmds_io._plain_lines(path) == sum(map(bool, lines))
 
     # reads of a few bytes end after one or two raw lines
