@@ -223,7 +223,9 @@ def run_fmds_command(manifest: RunManifest) -> int:
     origin = float(tensor.time_grid[0])
     span = float(tensor.time_grid[-1] - tensor.time_grid[0])
     if span <= 0:
-        raise ConfigError("fitting needs at least two distinct time points")
+        raise ConfigError("fitting needs at least two distinct time points" + (
+            "" if manifest.input_format == "tensor_csv" else
+            "; each window stop gives one slice, so --window must be shorter than the series"))
     unit_tensor = tensor._on_grid((tensor.time_grid - origin) / span)
 
     result = fit(unit_tensor, manifest.fit_config())

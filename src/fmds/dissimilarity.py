@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSeries, ShapeError, WindowTooLong
 
-# the smallest normal float64
-_TINY = np.finfo(float).tiny
+_TINY = np.finfo(float).tiny  # the smallest normal float64
 # the metrics of rolling_dissimilarity_tensor
 _METRICS = ("euclidean", "correlation")
 
@@ -233,7 +232,8 @@ def euclidean_dissimilarity(points) -> DissimilarityMatrix:
     """Pairwise Euclidean distances between feature vectors.
 
     ``points`` is an (n, r) array of n objects with r features each.
-    The result is exactly symmetric with an exactly zero diagonal.
+    The result is exactly symmetric with an exactly zero diagonal. Each pair
+    h < j is computed once, a block at a time: no (n, n, r) array is formed.
     """
     try:
         pts = np.asarray(points, dtype=float)
@@ -248,25 +248,29 @@ def euclidean_dissimilarity(points) -> DissimilarityMatrix:
         raise ShapeError("feature vectors must have at least one component")
     if not _all_finite(pts):
         raise ShapeError("points contain non-finite entries")
+    distances = _pair_distances(pts, *np.triu_indices(n, 1), np.empty(n * (n - 1) // 2))
+    return DissimilarityMatrix(next(_slice_blocks(distances[:, None], n))[0])
+
+
+def _pair_distances(points: np.ndarray, h: np.ndarray, j: np.ndarray, out: np.ndarray):
+    """Fill ``out`` with the Euclidean distances of the pairs (h, j) of finite
+    (n, r) points, a block of ``_block_items(8 * r)`` pairs at a time, and
+    return it. A distance beyond the double range is inf."""
+    step = _block_items(8 * points.shape[1])
     with np.errstate(over="ignore"):
-        diff = pts[:, None, :] - pts[None, :, :]
-        np.multiply(diff, diff, out=diff)
-        squares = _squared_norms(diff)
-        # the diagonal's n sums are 0; any other sum below the normal range
-        # may have lost its squares to underflow
-        small = squares < _TINY
-        distances = np.sqrt(squares, out=squares)
-        if np.count_nonzero(small) > n or not _all_finite(distances):
-            # redo each pair whose sum of squares underflowed or overflowed
-            # on its differences scaled into [0.5, 1); points that coincide
-            # still give 0, and only a distance beyond the double range
-            # stays infinite
-            h, j = np.nonzero(small | (distances == np.inf))
-            scaled = pts[h] - pts[j]
-            exponents = _power_of_two_scale(scaled)
-            np.multiply(scaled, scaled, out=scaled)
-            distances[h, j] = np.ldexp(np.sqrt(_squared_norms(scaled)), exponents[:, 0])
-    return DissimilarityMatrix(distances)
+        for start in range(0, h.size, step):
+            block = slice(start, start + step)
+            squares = _squared_norms(np.square(points[h[block]] - points[j[block]]))
+            # redo each sum of squares that underflowed or overflowed on its pair's
+            # differences scaled into [0.5, 1); coincident points still give 0
+            redo = np.flatnonzero((squares < _TINY) | (squares == np.inf))
+            np.sqrt(squares, out=squares)
+            if redo.size:
+                scaled = points[h[block][redo]] - points[j[block][redo]]
+                exponents = _power_of_two_scale(scaled)
+                squares[redo] = np.ldexp(np.sqrt(_squared_norms(scaled * scaled)), exponents[:, 0])
+            out[block] = squares
+    return out
 
 
 def _squared_norms(squares: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -408,8 +412,7 @@ def rolling_dissimilarity_tensor(
     else:
         h, j = np.triu_indices(panel.n, 1)
         for k, out in enumerate(pairs.T):
-            window = panel.values[:, k * stride:k * stride + window_len]
-            out[...] = euclidean_dissimilarity(window).values[h, j]
+            _pair_distances(panel.values[:, k * stride:k * stride + window_len], h, j, out)
     return DissimilarityTensor._from_pairs(panel.time_grid[window_len - 1::stride], pairs, panel.n)
 
 

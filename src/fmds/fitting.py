@@ -385,12 +385,11 @@ def _resolve_layout(tensor: DissimilarityTensor, config: FitConfig) -> tuple[Kno
         if config.interior_knots is not None
         else max(1, tensor.num_times // 10)
     )
-    q = CUBIC_ORDER + interior
-    if tensor.num_times < q:
-        raise Underdetermined(
-            f"{tensor.num_times} time points cannot determine {q} coefficients; "
-            f"reduce the interior knot count"
-        )
+    m, q = tensor.num_times, CUBIC_ORDER + interior
+    if m < q:
+        fix = (f"a cubic fit needs at least {CUBIC_ORDER} time points" if m < CUBIC_ORDER
+               else "reduce the interior knot count")
+        raise Underdetermined(f"{m} time points cannot determine {q} coefficients; {fix}")
     return _fit_knots(tensor.time_grid, interior), q
 
 

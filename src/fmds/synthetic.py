@@ -12,11 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissimilarity import (
-    DissimilarityTensor,
-    ObjectPanel,
-    euclidean_dissimilarity,
-)
+from .dissimilarity import DissimilarityTensor, ObjectPanel, _pair_distances
 from .errors import ConfigError
 
 _KINDS = ("static_cloud", "smooth_rotation", "random_walk_smoothed")
@@ -98,7 +94,7 @@ def generate(
     h, j = np.triu_indices(scenario.n, 1)
     pairs = np.empty((h.size, scenario.m))
     for k, out in enumerate(pairs.T):
-        out[...] = euclidean_dissimilarity(observed[:, k, :]).values[h, j]
+        _pair_distances(observed[:, k, :], h, j, out)
     tensor = DissimilarityTensor._from_pairs(grid, pairs, scenario.n)
 
     if scenario.p_true == 1:

@@ -1,7 +1,8 @@
 """Brute-force references that only the tests compare against.
 
-The Adam update one object at a time, and the objective with its full
-gradient expanded as plain loops. ``fmds.reference`` keeps the references
+The Adam update one object at a time, the objective with its full
+gradient expanded as plain loops, and the Euclidean distances from the full
+difference tensor. ``fmds.reference`` keeps the references
 that ``fmds verify`` runs too.
 """
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fmds.dissimilarity import DissimilarityTensor
+from fmds.dissimilarity import DissimilarityMatrix, DissimilarityTensor
 from fmds.fitting import _DENOM_SHIFT, CoefficientSet, FitConfig
 from fmds.reference import naive_bspline
 
@@ -76,3 +77,25 @@ def naive_stress_and_grad(
                 grads[i] -= piece
                 grads[j] += piece
     return total, grads
+
+
+def euclidean_dissimilarity(points) -> DissimilarityMatrix:
+    """Pairwise Euclidean distances from the full (n, n, r) difference tensor,
+    with the last-axis sums of its squares; each pair whose sum underflowed or
+    overflowed is redone on its differences scaled by a power of two into
+    [0.5, 1). The matrix check rejects a distance beyond the double range."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    with np.errstate(over="ignore"):
+        diff = pts[:, None, :] - pts[None, :, :]
+        squares = (diff * diff).sum(axis=-1)
+        # the diagonal's n sums are 0
+        small = squares < np.finfo(float).tiny
+        distances = np.sqrt(squares)
+        if np.count_nonzero(small) > n or not np.isfinite(distances).all():
+            h, j = np.nonzero(small | (distances == np.inf))
+            scaled = pts[h] - pts[j]
+            exponents = np.frexp(np.abs(scaled).max(axis=-1, keepdims=True))[1]
+            scaled = np.ldexp(scaled, -exponents)
+            distances[h, j] = np.ldexp(np.sqrt((scaled * scaled).sum(axis=-1)), exponents[:, 0])
+    return DissimilarityMatrix(distances)

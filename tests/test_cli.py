@@ -266,6 +266,38 @@ class TestFmdsCommand:
         assert _run("fmds", "--input", tsv, "--out", tmp_path / "f") == 2
         assert "fitting needs at least two distinct time points" in capsys.readouterr().err
 
+    @pytest.fixture
+    def panel_30(self, tmp_path):
+        out = tmp_path / "panel"
+        assert _run("synth", "--scenario", "random_walk_smoothed", "--n", "4", "--dim", "1",
+                    "--m", "30", "--seed", "3", "--out", out) == 0
+        return out / "panel.csv"
+
+    def test_default_window_gives_one_slice(self, panel_30, tmp_path, capsys):
+        # the default window is the whole series: one stop, one slice
+        assert _run("fmds", "--input", panel_30, "--format", "wide_csv",
+                    "--out", tmp_path / "f") == 2
+        assert capsys.readouterr().err.rstrip().endswith(
+            "fitting needs at least two distinct time points; each window stop gives one "
+            "slice, so --window must be shorter than the series")
+
+    @pytest.mark.parametrize("knots", [[], ["--knots", "0"]])
+    def test_fewer_than_four_time_points_exit(self, panel_30, tmp_path, capsys, knots):
+        # a window of 29 on 30 columns gives two slices; no knot count helps
+        assert _run("fmds", "--input", panel_30, "--format", "wide_csv", "--window", "29",
+                    *knots, "--out", tmp_path / "f") == 4
+        q = 5 if not knots else 4
+        assert capsys.readouterr().err.rstrip().endswith(
+            f"2 time points cannot determine {q} coefficients; "
+            "a cubic fit needs at least 4 time points")
+
+    def test_too_many_knots_named(self, panel_30, tmp_path, capsys):
+        # with 4 or more time points a smaller knot count does help
+        assert _run("fmds", "--input", panel_30, "--format", "wide_csv", "--window", "25",
+                    "--knots", "3", "--out", tmp_path / "f") == 4
+        assert ("6 time points cannot determine 7 coefficients; reduce the interior knot count"
+                in capsys.readouterr().err)
+
     def test_zero_epochs_rejected(self, rotation_tensor, tmp_path):
         assert _run("fmds", "--input", rotation_tensor, "--max-epochs", "0",
                     "--out", tmp_path / "f") == 2

@@ -1,10 +1,13 @@
 """Tests for dissimilarity construction and validation."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from naive_reference import euclidean_dissimilarity as reference_euclidean
 
 from fmds import (
     ConfigError,
@@ -22,6 +25,7 @@ from fmds import (
     rolling_dissimilarity_tensor,
     validate,
 )
+from fmds import dissimilarity
 from fmds.dissimilarity import _pair_starts, _power_of_two_scale
 from fmds.io import ingest_tensor, write_tensor
 
@@ -590,3 +594,105 @@ class TestValidateMemory:
         # the n^3 probe needed two 206 MiB arrays at n=300
         assert peak < 16 * 2**20
         assert report.passed and report.triangle_inequality
+
+
+def _matrix_bits(build, points):
+    """The bytes of ``build(points).values``, or the message of the
+    ShapeError it raises."""
+    try:
+        return build(points).values.tobytes()
+    except ShapeError as exc:
+        return str(exc)
+
+
+@st.composite
+def point_sets(draw):
+    """(n, r) points whose magnitudes span [lo, hi] decades, from the
+    subnormals to the edge of overflow, some of them coincident."""
+    n = draw(st.integers(2, 60))
+    r = draw(st.sampled_from([*range(1, 10), 16, 33, 257]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.floats(-320.0, 308.0) | st.just(307.0))
+    hi = draw(st.floats(lo, 308.0) | st.just(308.0))
+    points = rng.uniform(-1.0, 1.0, (n, r)) * 10.0 ** rng.uniform(lo, hi, (n, r))
+    copies = draw(st.integers(0, n - 1))
+    points[rng.integers(n, size=copies)] = points[rng.integers(n, size=copies)]
+    return points
+
+
+class TestPairDistances:
+    """Each pair h < j computed once, a block at a time, has the bits of the
+    full (n, n, r) difference tensor's distance."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(points=point_sets(), block_bytes=st.none() | st.integers(17, 4096))
+    @example(points=np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1e-320]]), block_bytes=64)
+    @example(points=np.array([[1e-200, 0.0], [0.0, 0.0], [1e-200, 0.0], [3e200, 4e200]]),
+             block_bytes=None)
+    def test_matches_the_full_difference_tensor(self, points, block_bytes):
+        # a small block size splits the pairs mid-row
+        block_bytes = block_bytes or dissimilarity._BLOCK_BYTES
+        with mock.patch.object(dissimilarity, "_BLOCK_BYTES", block_bytes):
+            got = _matrix_bits(euclidean_dissimilarity, points)
+        assert got == _matrix_bits(reference_euclidean, points)
+
+    @pytest.mark.parametrize("window, stride", [(1, 1), (2, 1), (4, 3), (9, 2), (50, 1)])
+    @pytest.mark.parametrize("block_bytes", [None, 200])
+    def test_rolling_slices_match_the_reference(self, monkeypatch, window, stride, block_bytes):
+        if block_bytes:
+            monkeypatch.setattr(dissimilarity, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(window + stride)
+        # objects from 1e-200 to 1e200, so some sums of squares underflow
+        values = rng.normal(size=(30, 50)) * 10.0 ** rng.uniform(-200, 200, (30, 1))
+        values[7] = values[3]
+        tensor = rolling_dissimilarity_tensor(_panel(values), "euclidean", window, stride)
+        assert tensor.num_times == len(range(window, 51, stride))
+        for k, got in enumerate(tensor.values):
+            window_values = values[:, k * stride:k * stride + window]
+            assert got.tobytes() == reference_euclidean(window_values).values.tobytes()
+
+    @pytest.mark.parametrize("kind, p_true, noise_sd", [
+        ("static_cloud", 3, 0.0), ("smooth_rotation", 2, 0.1), ("random_walk_smoothed", 1, 0.0),
+        ("random_walk_smoothed", 2, 0.2),
+    ])
+    def test_generate_slices_match_the_reference(self, kind, p_true, noise_sd):
+        panel, tensor, _ = generate(SyntheticScenario(kind, n=9, p_true=p_true, m=12,
+                                                      noise_sd=noise_sd, seed=5))
+        for k, got in enumerate(tensor.values):
+            observed = panel.values[:, k].reshape(9, p_true)
+            assert got.tobytes() == reference_euclidean(observed).values.tobytes()
+
+    def test_window_beyond_the_double_range_rejected(self, tmp_path, capsys):
+        from fmds.cli import main
+        from fmds.io import write_panel
+
+        # the first column's distance from object 1 to object 2 is 2e308
+        panel = _panel([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="^dissimilarity matrix contains non-finite"):
+                euclidean_dissimilarity(panel.values[:, :1])
+            # a window's slice is checked by the tensor it goes into
+            with pytest.raises(ShapeError, match="^dissimilarity tensor contains non-finite"):
+                rolling_dissimilarity_tensor(panel, "euclidean", 1)
+        write_panel(panel, tmp_path / "panel.csv")
+        assert main(["dissim", "--input", str(tmp_path / "panel.csv"), "--format", "wide_csv",
+                     "--window", "1", "--out", str(tmp_path / "d")]) == 4
+        assert "dissimilarity tensor contains non-finite entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("build, output_bytes", [
+        (lambda panel: rolling_dissimilarity_tensor(panel, "euclidean", 2000), 60 * 59 // 2 * 8),
+        (lambda panel: euclidean_dissimilarity(panel.values), 60 * 60 * 8),
+    ], ids=["rolling_tensor", "matrix"])
+    def test_peak_memory_is_blocks_and_output(self, build, output_bytes):
+        import tracemalloc
+
+        panel = _panel(np.random.default_rng(9).normal(size=(60, 2000)))
+        tracemalloc.start()
+        try:
+            build(panel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the (n, n, r) difference tensor and its squares took 55 MiB here
+        assert peak < 4 * dissimilarity._BLOCK_BYTES + output_bytes
