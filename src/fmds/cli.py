@@ -11,6 +11,7 @@ references. Exit codes: 0 success, 2 usage/config error, 3 ingest error,
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -456,5 +457,26 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if isinstance(exc, (ConfigError, WindowTooLong)) else 4
 
 
+# CPython's built-in hash modules, which hashlib and hmac fall back to when
+# _hashlib, OpenSSL's, cannot be imported
+_BUILTIN_HASHES = (("_md5", "_sha1", "_sha2", "_blake2", "_sha3") if sys.version_info >= (3, 12)
+                   else ("_md5", "_sha1", "_sha256", "_sha512", "_blake2", "_sha3"))
+
+
+def entry() -> int:
+    """The ``fmds`` program: ``main`` on the process's arguments, with hashlib
+    on CPython's built-in hashes.
+
+    numpy.random imports hmac, which maps OpenSSL's libcrypto through _hashlib
+    (about 3.6 MiB of peak RSS) though no seeded generator uses it. A _hashlib
+    marked missing keeps it out, as on a CPython built without OpenSSL, unless
+    a built-in module is missing too: ``import hashlib`` would then log an
+    error for each of its hashes. ``main`` itself changes no process-wide state.
+    """
+    if all(importlib.util.find_spec(name) for name in _BUILTIN_HASHES):
+        sys.modules.setdefault("_hashlib", None)
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

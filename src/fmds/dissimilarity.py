@@ -249,7 +249,13 @@ def euclidean_dissimilarity(points) -> DissimilarityMatrix:
     if not _all_finite(pts):
         raise ShapeError("points contain non-finite entries")
     distances = _pair_distances(pts, *np.triu_indices(n, 1), np.empty(n * (n - 1) // 2))
-    return DissimilarityMatrix(next(_slice_blocks(distances[:, None], n))[0])
+    # the condensed pairs are the strict upper triangle in row-major order, so
+    # one n * n mask places them there and, through the transpose, below it
+    upper = ~np.tri(n, dtype=bool)
+    values = np.zeros((n, n))
+    values[upper] = distances
+    values.T[upper] = distances
+    return DissimilarityMatrix(values)
 
 
 def _pair_distances(points: np.ndarray, h: np.ndarray, j: np.ndarray, out: np.ndarray):
@@ -260,7 +266,9 @@ def _pair_distances(points: np.ndarray, h: np.ndarray, j: np.ndarray, out: np.nd
     with np.errstate(over="ignore"):
         for start in range(0, h.size, step):
             block = slice(start, start + step)
-            squares = _squared_norms(np.square(points[h[block]] - points[j[block]]))
+            # np.take gathers rows several times faster than points[h[block]]
+            squares = _squared_norms(np.square(np.take(points, h[block], axis=0)
+                                               - np.take(points, j[block], axis=0)))
             # redo each sum of squares that underflowed or overflowed on its pair's
             # differences scaled into [0.5, 1); coincident points still give 0
             redo = np.flatnonzero((squares < _TINY) | (squares == np.inf))

@@ -696,3 +696,17 @@ class TestPairDistances:
             tracemalloc.stop()
         # the (n, n, r) difference tensor and its squares took 55 MiB here
         assert peak < 4 * dissimilarity._BLOCK_BYTES + output_bytes
+
+    def test_matrix_peak_is_at_most_twice_the_matrix(self):
+        import tracemalloc
+
+        points = np.random.default_rng(9).normal(size=(1000, 1))
+        tracemalloc.start()
+        try:
+            euclidean_dissimilarity(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the pairs' int64 index and their flat offsets into both triangles
+        # took 3.5 times the matrix here; the pairs and a boolean mask remain
+        assert peak <= 2 * 1000 * 1000 * 8

@@ -27,6 +27,7 @@ from fmds import (
     euclidean_dissimilarity,
 )
 import fmds
+import fmds.cli
 from fmds import SyntheticScenario, generate, svgplot
 from fmds import io as fmds_io
 from fmds.io import (
@@ -823,6 +824,115 @@ def test_runs_that_draw_no_random_numbers_load_no_openssl(tmp_path, command):
     if before == "True":
         pytest.skip("importing numpy alone loads OpenSSL (numpy 1.x)")
     assert after == "False 0"
+
+
+_ENTRY_NO_OPENSSL_SCRIPT = r"""
+import json
+import os
+import sys
+
+import numpy
+
+print("_hashlib" in sys.modules)
+from fmds.cli import entry
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["fmds", *argv]
+    try:
+        codes.append(entry())
+    except SystemExit as exc:
+        codes.append(exc.code)
+maps = ""
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as lines:
+        maps = lines.read()
+print(json.dumps({"codes": codes, "blocked": sys.modules.get("_hashlib", 0) is None,
+                  "random": "numpy.random" in sys.modules, "libcrypto": "libcrypto" in maps}))
+"""
+
+
+def _tiny_tensor(tmp_path):
+    _, tensor, _ = generate(SyntheticScenario("smooth_rotation", n=5, m=6, seed=3))
+    write_tensor(tensor, tmp_path / "t.csv", manifest_hash="abc")
+    return tmp_path / "t.csv"
+
+
+@pytest.mark.skipif(not all(importlib.util.find_spec(name) for name in fmds.cli._BUILTIN_HASHES),
+                    reason="this Python lacks a built-in hash module hashlib falls back to")
+def test_the_program_entry_loads_no_openssl_for_runs_that_draw_random_numbers(tmp_path):
+    tensor = _tiny_tensor(tmp_path)
+    argvs = [["fmds", "--input", str(tensor), "--out", str(tmp_path / "f"), "--max-epochs", "1"],
+             ["synth", "--n", "4", "--m", "5", "--out", str(tmp_path / "s")],
+             ["verify"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(fmds.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", _ENTRY_NO_OPENSSL_SCRIPT, json.dumps(argvs)],
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    if child.stdout.splitlines()[0] == "True":
+        pytest.skip("importing numpy alone loads OpenSSL (numpy 1.x)")
+    state = json.loads(child.stdout.splitlines()[-1])
+    # numpy.random was loaded, and with it hmac, on the built-in hashes
+    assert state == {"codes": [0, 0, 0], "blocked": True, "random": True, "libcrypto": False}
+    assert "was not found" not in child.stderr
+
+
+@pytest.mark.parametrize("missing", [None, *fmds.cli._BUILTIN_HASHES])
+def test_the_entry_blocks_openssl_only_when_every_built_in_hash_is_there(monkeypatch, missing):
+    found = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *args: None if name == missing else found(name, *args))
+    monkeypatch.setattr(fmds.cli, "main", lambda: 7)
+    # restored on teardown, module and all
+    monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+    assert fmds.cli.entry() == 7
+    if missing is None:
+        assert "_hashlib" in sys.modules and sys.modules["_hashlib"] is None
+    else:
+        assert "_hashlib" not in sys.modules
+
+
+def test_a_run_through_the_entry_writes_the_bytes_of_an_in_process_run(tmp_path):
+    tensor = _tiny_tensor(tmp_path)
+    out = tmp_path / "out"
+    argv = ["fmds", "--input", str(tensor), "--out", str(out), "--max-epochs", "20",
+            "--deterministic"]
+    env = dict(os.environ, PYTHONPATH=str(Path(fmds.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-m", "fmds.cli", *argv], env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    # the manifest names its output directory, so both runs write to one path
+    program = out.rename(tmp_path / "program")
+    assert fmds.cli.main(argv) == 0
+    names = sorted(p.name for p in program.iterdir())
+    assert "trajectories.csv" in names and sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (program / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["synth", "verify"])
+def test_main_sets_no_hash_module_block(tmp_path, monkeypatch, command):
+    import numpy.random  # noqa: F401  # so no import during the run adds the key
+
+    argv = {"synth": ["synth", "--n", "4", "--m", "5", "--out", str(tmp_path / "s")],
+            "verify": ["verify"]}[command]
+    monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+    assert fmds.cli.main(argv) == 0
+    assert "_hashlib" not in sys.modules
+
+
+def test_the_console_script_is_the_function_the_main_clause_calls():
+    tomllib = pytest.importorskip("tomllib")
+    import ast
+
+    root = Path(fmds.__file__).parents[2]
+    if not (root / "pyproject.toml").exists():
+        pytest.skip("not run from a source checkout")
+    script = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]["fmds"]
+    clause, = [node for node in ast.parse(Path(fmds.cli.__file__).read_text()).body
+               if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    called = {ast.unparse(node.func) for node in ast.walk(clause) if isinstance(node, ast.Call)}
+    assert {f"fmds.cli:{name}" for name in called - {"sys.exit"}} == {script}
 
 
 if st is not None:
